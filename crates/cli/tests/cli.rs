@@ -622,6 +622,33 @@ fn lint_warnings_fail_only_under_deny() {
 }
 
 #[test]
+fn lint_deeply_nested_file_is_a_parse_error_not_an_abort() {
+    const DEEP: usize = 100_000;
+    let dir = std::env::temp_dir();
+    let toml = dir.join("lsm-cli-test-lint-deep.toml");
+    let json = dir.join("lsm-cli-test-lint-deep.json");
+    std::fs::write(
+        &toml,
+        format!("a = {}{}\n", "[".repeat(DEEP), "]".repeat(DEEP)),
+    )
+    .unwrap();
+    std::fs::write(
+        &json,
+        format!("{}1{}", "{\"a\": ".repeat(DEEP), "}".repeat(DEEP)),
+    )
+    .unwrap();
+    let out = lsm(&["lint", toml.to_str().unwrap(), json.to_str().unwrap()]);
+    std::fs::remove_file(&toml).ok();
+    std::fs::remove_file(&json).ok();
+    // Exit 1 is the ordinary "file does not parse" lint failure; an
+    // unbounded parser recursion would abort with a signal instead.
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert_eq!(text.matches("nesting deeper than").count(), 2, "{text}");
+    assert!(text.contains("2 error(s)"), "{text}");
+}
+
+#[test]
 fn lint_json_reports_per_file_diagnostics() {
     let scenario = repo_root().join("scenarios/chaos_storm.toml");
     let out = lsm(&["lint", scenario.to_str().unwrap(), "--json"]);

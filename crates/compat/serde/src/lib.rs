@@ -20,6 +20,52 @@
 //! shared with real serde: newtype structs are transparent, enums are
 //! externally tagged, `Option::None` maps to [`Value::Null`] and absent
 //! map keys deserialize to `None`.
+//!
+//! The derives accept two container attributes, in upstream syntax:
+//! `default` fills absent keys from `Default`, and
+//! `deny_unknown_fields` rejects unknown keys (which the stand-in does
+//! for every struct regardless):
+//!
+//! ```
+//! use serde::{Deserialize, Serialize, Value};
+//!
+//! #[derive(Debug, PartialEq, Serialize, Deserialize)]
+//! #[serde(default, deny_unknown_fields)]
+//! struct Knobs {
+//!     rounds: u32,
+//!     cap: Option<f64>,
+//! }
+//!
+//! impl Default for Knobs {
+//!     fn default() -> Self {
+//!         Knobs { rounds: 30, cap: Some(1.0) }
+//!     }
+//! }
+//!
+//! let one = Value::Map(vec![("cap".into(), Value::Null)]);
+//! assert_eq!(Knobs::from_value(&one).unwrap(), Knobs { rounds: 30, cap: None });
+//! let typo = Value::Map(vec![("round".into(), Value::U64(3))]);
+//! let err = Knobs::from_value(&typo).unwrap_err().to_string();
+//! assert!(err.starts_with("unknown Knobs field `round` (expected one of: rounds, cap)"));
+//! ```
+//!
+//! Any other attribute is a compile error rather than silently ignored:
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! #[serde(rename_all = "kebab-case")]
+//! struct Knobs {
+//!     rounds: u32,
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! struct Knobs {
+//!     #[serde(default)]
+//!     rounds: u32,
+//! }
+//! ```
 
 use std::fmt;
 

@@ -13,6 +13,20 @@
 //!   tagged (`"Variant"` or `{ "Variant": payload }`), like real serde.
 //!
 //! Generic types are rejected with a compile error.
+//!
+//! Supported `#[serde(...)]` attributes — upstream syntax, container
+//! level only:
+//!
+//! * `default` (structs with named fields): an absent key takes its
+//!   value from `<Self as Default>::default()`, built once per call;
+//! * `deny_unknown_fields`: reject keys that name no field.
+//!
+//! Any other argument, and any `#[serde]` on a field or variant, is a
+//! compile error, so an upstream attribute is never silently ignored.
+//! The stand-in rejects unknown keys on *every* struct (and struct
+//! variant) with ``unknown <Owner> field `<key>` (expected one of: …)``,
+//! whether or not `deny_unknown_fields` is given; config types carry the
+//! attribute anyway so a swap to real serde stays strict.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -21,6 +35,8 @@ enum Item {
     NamedStruct {
         name: String,
         fields: Vec<String>,
+        /// `#[serde(default)]`: absent keys fall back to `Default`.
+        default: bool,
     },
     TupleStruct {
         name: String,
@@ -44,7 +60,7 @@ enum VariantShape {
 }
 
 /// Derive `serde::Serialize`.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Ok(item) => gen_serialize(&item).parse().expect("generated code parses"),
@@ -53,7 +69,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derive `serde::Deserialize`.
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Ok(item) => gen_deserialize(&item)
@@ -74,7 +90,7 @@ fn compile_error(msg: &str) -> TokenStream {
 fn parse_item(input: TokenStream) -> Result<Item, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-    skip_attrs_and_vis(&tokens, &mut i);
+    let attrs = skip_attrs_and_vis(&tokens, &mut i);
     let kw = match tokens.get(i) {
         Some(TokenTree::Ident(id)) => id.to_string(),
         _ => return Err("expected `struct` or `enum`".into()),
@@ -90,24 +106,29 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
             "serde stand-in derive does not support generics (on `{name}`)"
         ));
     }
+    let default = container_default(&name, &attrs)?;
     match (kw.as_str(), tokens.get(i)) {
         ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
             Ok(Item::NamedStruct {
+                fields: parse_named_fields(&name, g.stream())?,
                 name,
-                fields: parse_named_fields(g.stream())?,
+                default,
             })
         }
+        _ if default => Err(format!(
+            "`#[serde(default)]` on `{name}`: the serde stand-in supports it only on structs with named fields"
+        )),
         ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Parenthesis => {
             Ok(Item::TupleStruct {
+                arity: count_tuple_fields(&name, g.stream())?,
                 name,
-                arity: count_tuple_fields(g.stream()),
             })
         }
         ("struct", _) => Err(format!("unit struct `{name}` has nothing to serialize")),
         ("enum", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
             Ok(Item::Enum {
+                variants: parse_variants(&name, g.stream())?,
                 name,
-                variants: parse_variants(g.stream())?,
             })
         }
         _ => Err(format!("cannot derive serde impls for `{kw} {name}`")),
@@ -115,11 +136,20 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
 }
 
 /// Skip leading `#[...]` attributes (including doc comments) and
-/// visibility qualifiers.
-fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) {
+/// visibility qualifiers, returning what follows `serde` in each
+/// `#[serde...]` attribute among them.
+fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) -> Vec<Vec<TokenTree>> {
+    let mut serde_attrs = Vec::new();
     loop {
         match tokens.get(*i) {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
+                if let Some(TokenTree::Group(g)) = tokens.get(*i + 1) {
+                    let mut inner = g.stream().into_iter();
+                    if matches!(inner.next(), Some(TokenTree::Ident(id)) if id.to_string() == "serde")
+                    {
+                        serde_attrs.push(inner.collect());
+                    }
+                }
                 *i += 2; // `#` + bracket group
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
@@ -131,6 +161,48 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) {
             }
             _ => break,
         }
+    }
+    serde_attrs
+}
+
+/// The tail of every unsupported-attribute error.
+const SUPPORTED: &str =
+    "the serde stand-in supports only container-level `default` and `deny_unknown_fields`";
+
+/// Read the container-level `#[serde(...)]` attributes of `owner`:
+/// whether `default` was given. `deny_unknown_fields` is accepted (the
+/// derive always rejects unknown keys); anything else is an error.
+fn container_default(owner: &str, attrs: &[Vec<TokenTree>]) -> Result<bool, String> {
+    let mut default = false;
+    for attr in attrs {
+        let args = match attr.as_slice() {
+            [TokenTree::Group(g)] if g.delimiter() == Delimiter::Parenthesis => g.stream(),
+            _ => return Err(format!("malformed `#[serde]` attribute on `{owner}`")),
+        };
+        let args: Vec<TokenTree> = args.into_iter().collect();
+        for arg in args.split(|t| matches!(t, TokenTree::Punct(p) if p.as_char() == ',')) {
+            match arg {
+                [] => {}
+                [TokenTree::Ident(id)] if id.to_string() == "default" => default = true,
+                [TokenTree::Ident(id)] if id.to_string() == "deny_unknown_fields" => {}
+                other => {
+                    let text: TokenStream = other.iter().cloned().collect();
+                    return Err(format!(
+                        "unsupported `#[serde({text})]` on `{owner}`: {SUPPORTED}"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(default)
+}
+
+/// Field- and variant-level `#[serde]` attributes are not supported.
+fn reject_member_attrs(attrs: &[Vec<TokenTree>], member: &str) -> Result<(), String> {
+    if attrs.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("`#[serde]` on `{member}`: {SUPPORTED}"))
     }
 }
 
@@ -149,17 +221,18 @@ fn skip_type(tokens: &[TokenTree], i: &mut usize) {
     }
 }
 
-fn parse_named_fields(stream: TokenStream) -> Result<Vec<String>, String> {
+fn parse_named_fields(owner: &str, stream: TokenStream) -> Result<Vec<String>, String> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attrs_and_vis(&tokens, &mut i);
+        let attrs = skip_attrs_and_vis(&tokens, &mut i);
         let name = match tokens.get(i) {
             Some(TokenTree::Ident(id)) => id.to_string(),
             None => break,
             Some(other) => return Err(format!("expected field name, found `{other}`")),
         };
+        reject_member_attrs(&attrs, &format!("{owner}.{name}"))?;
         i += 1;
         match tokens.get(i) {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
@@ -172,15 +245,13 @@ fn parse_named_fields(stream: TokenStream) -> Result<Vec<String>, String> {
     Ok(fields)
 }
 
-fn count_tuple_fields(stream: TokenStream) -> usize {
+fn count_tuple_fields(owner: &str, stream: TokenStream) -> Result<usize, String> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    if tokens.is_empty() {
-        return 0;
-    }
     let mut arity = 0;
     let mut i = 0;
     while i < tokens.len() {
-        skip_attrs_and_vis(&tokens, &mut i);
+        let attrs = skip_attrs_and_vis(&tokens, &mut i);
+        reject_member_attrs(&attrs, &format!("{owner}.{arity}"))?;
         if i >= tokens.len() {
             break;
         }
@@ -188,29 +259,31 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
         i += 1; // past the comma (or end)
         arity += 1;
     }
-    arity
+    Ok(arity)
 }
 
-fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
+fn parse_variants(owner: &str, stream: TokenStream) -> Result<Vec<Variant>, String> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut variants = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attrs_and_vis(&tokens, &mut i);
+        let attrs = skip_attrs_and_vis(&tokens, &mut i);
         let name = match tokens.get(i) {
             Some(TokenTree::Ident(id)) => id.to_string(),
             None => break,
             Some(other) => return Err(format!("expected variant name, found `{other}`")),
         };
+        let path = format!("{owner}::{name}");
+        reject_member_attrs(&attrs, &path)?;
         i += 1;
         let shape = match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 i += 1;
-                VariantShape::Tuple(count_tuple_fields(g.stream()))
+                VariantShape::Tuple(count_tuple_fields(&path, g.stream())?)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 i += 1;
-                VariantShape::Named(parse_named_fields(g.stream())?)
+                VariantShape::Named(parse_named_fields(&path, g.stream())?)
             }
             _ => VariantShape::Unit,
         };
@@ -230,7 +303,7 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 
 fn gen_serialize(item: &Item) -> String {
     match item {
-        Item::NamedStruct { name, fields } => {
+        Item::NamedStruct { name, fields, .. } => {
             let entries: String = fields
                 .iter()
                 .map(|f| format!("({f:?}.to_string(), ::serde::Serialize::to_value(&self.{f})),"))
@@ -323,25 +396,31 @@ fn unknown_key_check(owner: &str, fields: &[String], map_expr: &str) -> String {
              for (k, _) in m.iter() {{\n\
                  if !matches!(k.as_str(), {alts}) {{\n\
                      return Err(::serde::Error::new(format!(\n\
-                         concat!(\"unknown field `{{}}` for \", {owner:?}, \" (expected one of: \", {expected:?}, \")\"), k)));\n\
+                         concat!(\"unknown \", {owner:?}, \" field `{{}}` (expected one of: \", {expected:?}, \")\"), k)));\n\
                  }}\n\
              }}\n\
          }}\n"
     )
 }
 
-/// `field: <lookup in map `v`>` — absent keys route through
-/// `Deserialize::absent` so `Option` fields may be omitted.
-fn named_field_init(owner: &str, fields: &[String], map_expr: &str) -> String {
+/// `field: <lookup in map `v`>`. An absent key takes `d.field` when
+/// the container has `#[serde(default)]` (`d` is its `Default` value);
+/// otherwise it routes through `Deserialize::absent`, so only `Option`
+/// fields may be omitted.
+fn named_field_init(owner: &str, fields: &[String], map_expr: &str, default: bool) -> String {
     fields
         .iter()
         .map(|f| {
+            let absent = if default {
+                format!("d.{f}")
+            } else {
+                format!("::serde::Deserialize::absent({f:?}).map_err(|e| e.ctx({owner:?}))?")
+            };
             format!(
                 "{f}: match {map_expr}.get({f:?}) {{\n\
                      Some(x) => ::serde::Deserialize::from_value(x)\n\
                          .map_err(|e| e.ctx(concat!({owner:?}, \".\", {f:?})))?,\n\
-                     None => ::serde::Deserialize::absent({f:?})\n\
-                         .map_err(|e| e.ctx({owner:?}))?,\n\
+                     None => {absent},\n\
                  }},\n"
             )
         })
@@ -350,9 +429,18 @@ fn named_field_init(owner: &str, fields: &[String], map_expr: &str) -> String {
 
 fn gen_deserialize(item: &Item) -> String {
     match item {
-        Item::NamedStruct { name, fields } => {
-            let inits = named_field_init(name, fields, "v");
+        Item::NamedStruct {
+            name,
+            fields,
+            default,
+        } => {
+            let inits = named_field_init(name, fields, "v", *default);
             let strictness = unknown_key_check(name, fields, "v");
+            let defaults = if *default {
+                "let d = <Self as ::core::default::Default>::default();\n"
+            } else {
+                ""
+            };
             format!(
                 "impl ::serde::Deserialize for {name} {{\n\
                      fn from_value(v: &::serde::Value) -> ::core::result::Result<Self, ::serde::Error> {{\n\
@@ -361,6 +449,7 @@ fn gen_deserialize(item: &Item) -> String {
                                  concat!(\"expected map for \", {name:?}, \", found {{}}\"), v.kind())));\n\
                          }}\n\
                          {strictness}\
+                         {defaults}\
                          Ok({name} {{ {inits} }})\n\
                      }}\n\
                  }}"
@@ -423,8 +512,9 @@ fn gen_deserialize(item: &Item) -> String {
                             )
                         }
                         VariantShape::Named(fields) => {
-                            let inits = named_field_init(vn, fields, "p");
-                            let strictness = unknown_key_check(vn, fields, "p");
+                            let inits = named_field_init(vn, fields, "p", false);
+                            let strictness =
+                                unknown_key_check(&format!("{name}::{vn}"), fields, "p");
                             format!(
                                 "{vn:?} => {{\n\
                                      let p = payload.ok_or_else(|| ::serde::Error::new(\n\

@@ -27,11 +27,17 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::from_value(&parse(s)?)
 }
 
+/// Deepest nesting of arrays and objects the parser accepts. The parser
+/// recurses once per level, so hostile input nested deeper fails with
+/// an error instead of overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document into a [`Value`].
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -130,6 +136,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Values currently open on the recursion stack.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -169,6 +177,20 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = self.unnested_value();
+        self.depth -= 1;
+        v
+    }
+
+    /// One value, its nested values parsed through [`Parser::value`].
+    fn unnested_value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
@@ -403,5 +425,14 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        let err = parse(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        assert!(parse(&(nested("{\"a\":", "}", MAX_DEPTH) + "1")).is_err());
     }
 }

@@ -175,6 +175,13 @@ fn fmt_toml_f64(x: f64) -> String {
 
 // ---------------- parser ----------------
 
+/// Deepest nesting the parser accepts, counting both the tables of a
+/// `[a.b.c]` header and the arrays and inline tables of a value. The
+/// value parser recurses once per level, and every consumer of the
+/// resulting tree walks it recursively, so hostile input nested deeper
+/// fails with an error instead of overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a TOML document into a [`Value::Map`].
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut root: Vec<(String, Value)> = Vec::new();
@@ -185,6 +192,7 @@ pub fn parse(s: &str) -> Result<Value, Error> {
         bytes: s.as_bytes(),
         pos: 0,
         line: 1,
+        depth: 0,
     };
     loop {
         p.skip_ws_and_comments(true);
@@ -196,6 +204,11 @@ pub fn parse(s: &str) -> Result<Value, Error> {
                 p.pos += 1;
             }
             let path = p.dotted_key()?;
+            if path.len() > MAX_DEPTH {
+                return Err(p.err(&format!(
+                    "table header nested deeper than {MAX_DEPTH} levels"
+                )));
+            }
             p.expect(b']')?;
             if array {
                 p.expect(b']')?;
@@ -305,6 +318,8 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: u32,
+    /// Values currently open on the recursion stack.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -467,6 +482,17 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = self.unnested_value();
+        self.depth -= 1;
+        v
+    }
+
+    /// One value, its nested values parsed through [`Parser::value`].
+    fn unnested_value(&mut self) -> Result<Value, Error> {
         self.skip_ws_and_comments(false);
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.basic_string()?)),
@@ -752,5 +778,22 @@ mod tests {
         assert!(out.contains("\\u001B"), "TOML-syntax escape, got: {out}");
         assert!(!out.contains("\\u{"), "no Rust-syntax escapes: {out}");
         assert_eq!(parse(&out).unwrap(), v, "document:\n{out}");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let array = |n: usize| format!("a = {}{}\n", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&array(MAX_DEPTH)).is_ok());
+        let err = parse(&array(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        let inline = |n: usize| format!("a = {}1{}\n", "{ b = ".repeat(n), " }".repeat(n));
+        assert!(parse(&inline(MAX_DEPTH - 1)).is_ok());
+        assert!(parse(&inline(MAX_DEPTH)).is_err());
+        let header = |n: usize| format!("[{}]\nb = 1\n", vec!["t"; n].join("."));
+        assert!(parse(&header(MAX_DEPTH)).is_ok());
+        assert!(parse(&header(MAX_DEPTH + 1)).is_err());
+        // Far past the limit: an error, not a stack overflow when the
+        // nested tables would be dropped.
+        assert!(parse(&header(100_000)).is_err());
     }
 }

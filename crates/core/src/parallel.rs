@@ -31,9 +31,14 @@
 //! (exactly the `(time, sequence)` order the monolithic event loop
 //! admits them in), traffic by integer per-shard counters whose sum is
 //! order-independent. The result: byte-identical serialized reports for
-//! any thread count, including the monolithic single-threaded engine —
-//! pinned by `lsm`'s determinism suite at `--threads 1/2/8` under both
-//! solver modes.
+//! any thread count greater than one. Against the monolithic engine
+//! every output matches except the event count: the monolith serves
+//! same-nanosecond network completions of different components with
+//! one `NetWake`, each shard with its own, so the merged `events` can
+//! be higher by the number of coalesced wakes. The shipped scenarios
+//! never coalesce across components, so for them the monolith's report
+//! is byte-identical too — pinned by `lsm`'s determinism suite at
+//! `--threads 1/2/8` under both solver modes.
 
 use crate::engine::{
     Engine, MigrationRecord, NullObserver, Observer, RunControl, RunReport, VmRecord,

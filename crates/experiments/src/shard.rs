@@ -29,11 +29,17 @@
 //!   — the same condition under which the monolithic incremental
 //!   solver already re-solves components independently.
 //!
-//! Under those rules each shard's event stream is *identical* to the
-//! monolithic engine's restriction to that component, and the merged
-//! report (see `lsm_core::parallel`) is byte-identical to the
-//! monolithic one — `lsm`'s determinism suite pins this at `--threads
-//! 1/2/8` under both solver modes.
+//! Under those rules each shard simulates exactly what the monolithic
+//! engine simulates for that component, and the merged report (see
+//! `lsm_core::parallel`) matches the monolithic one in every output but
+//! one: the event count. The monolith serves network completions that
+//! fall on the same nanosecond in *different* components with a single
+//! `NetWake`, while each shard dispatches its own, so the merged
+//! `events` can exceed the monolith's by the number of such coalesced
+//! wakes (a few on most randomly seeded fleets). The shipped scenarios
+//! happen never to coalesce wakes across components, so for them the
+//! reports are byte-identical — which is what `lsm`'s determinism suite
+//! pins at `--threads 1/2/8` under both solver modes.
 
 use crate::scenario::{build_scenario, run_scenario_with_solver, ScenarioSpec};
 use lsm_core::config::ClusterConfig;
@@ -443,7 +449,9 @@ fn horizon_of(spec: &ScenarioSpec) -> Result<SimTime, EngineError> {
 
 /// Run a scenario on `threads` worker threads under an explicit solver.
 /// `threads ≤ 1` — or any scenario the partitioner rejects — runs the
-/// monolithic engine; the two paths produce byte-identical reports.
+/// monolithic engine. The two paths produce the same report except that
+/// the sharded `events` count also includes the network wakes the
+/// monolith coalesces across components (see the module docs).
 pub fn run_scenario_threaded_with_solver(
     spec: &ScenarioSpec,
     threads: usize,

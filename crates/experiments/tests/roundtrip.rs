@@ -5,12 +5,14 @@
 use lsm_core::config::ClusterConfig;
 use lsm_core::planner::{OrchestratorConfig, PlannerKind, RequestIntent};
 use lsm_core::policy::StrategyKind;
-use lsm_core::{FaultKind, QosConfig, ResilienceConfig, RetryOn, RetryPolicy};
+use lsm_core::{AutonomicConfig, FaultKind, QosConfig, ResilienceConfig, RetryOn, RetryPolicy};
 use lsm_experiments::scenario::{
     CancelSpec, FaultSpec, MigrationSpec, RequestSpec, ScenarioSpec, VmSpec,
 };
 use lsm_workloads::{AsyncWrParams, IorParams, WorkloadSpec};
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize, Value};
+use std::fmt::Debug;
 
 fn orchestrator_strategy() -> impl Strategy<Value = OrchestratorConfig> {
     (
@@ -315,7 +317,10 @@ fn orchestrator_sections_reject_unknown_fields() {
     assert!(err.contains("unknown planner `clever`"), "{err}");
     let toml = format!("{base}[[requests]]\nat_secs = 1.0\n[requests.intent.Evacuate]\nnod = 1\n");
     let err = ScenarioSpec::from_toml(&toml).unwrap_err().to_string();
-    assert!(err.contains("unknown field `nod`"), "{err}");
+    assert!(
+        err.contains("unknown RequestIntent::Evacuate field `nod`"),
+        "{err}"
+    );
     let toml = format!("{base}[[requests]]\nat_secs = 1.0\nintent = \"Decommission\"\n");
     let err = ScenarioSpec::from_toml(&toml).unwrap_err().to_string();
     assert!(err.contains("unknown RequestIntent variant"), "{err}");
@@ -357,7 +362,7 @@ fn resilience_sections_reject_unknown_fields() {
     );
     let toml = format!("{base}[[cancellations]]\nat_secs = 1.0\njobb = 0\n");
     let err = ScenarioSpec::from_toml(&toml).unwrap_err().to_string();
-    assert!(err.contains("unknown field `jobb`"), "{err}");
+    assert!(err.contains("unknown CancelSpec field `jobb`"), "{err}");
     // A partial [resilience] section fills the defaults.
     let toml =
         format!("{base}[resilience]\nconverge_frac = 0.75\n[resilience.retry]\nmax_attempts = 5\n");
@@ -399,6 +404,90 @@ fn qos_section_rejects_unknown_fields() {
     );
 }
 
+/// One row of the config-section contract: an empty map is the
+/// default, a serialized value reads back unchanged, and a typoed key
+/// is rejected with the owner-qualified message.
+fn check_config_section<T>(owner: &str, changed: T, typo: &str)
+where
+    T: Serialize + Deserialize + Default + PartialEq + Debug,
+{
+    assert_eq!(
+        T::from_value(&Value::Map(Vec::new())).unwrap(),
+        T::default(),
+        "{owner}: empty map"
+    );
+    assert_ne!(changed, T::default(), "{owner}: row must change a field");
+    for x in [T::default(), changed] {
+        assert_eq!(T::from_value(&x.to_value()).unwrap(), x, "{owner}");
+    }
+    let err = T::from_value(&Value::Map(vec![(typo.to_string(), Value::Bool(true))]))
+        .unwrap_err()
+        .to_string();
+    let want = format!("unknown {owner} field `{typo}` (expected one of: ");
+    assert!(err.contains(&want), "{owner}: {err}");
+}
+
+/// Every config section deserializes through the same derived
+/// `#[serde(default, deny_unknown_fields)]` contract.
+#[test]
+fn config_sections_default_roundtrip_and_reject_typos() {
+    let mut mem = ClusterConfig::default().mem;
+    mem.max_rounds = 7;
+    mem.speed_cap = Some(5.0e7);
+    check_config_section("MemMigrationConfig", mem, "max_round");
+    let mut cluster = ClusterConfig::graphene(16);
+    cluster.mem = mem;
+    cluster.prefetch_priority = false;
+    check_config_section("ClusterConfig", cluster, "chunksize");
+    check_config_section(
+        "OrchestratorConfig",
+        OrchestratorConfig {
+            max_concurrent: Some(3),
+            planner: PlannerKind::Cost,
+            ..Default::default()
+        },
+        "max_concurent",
+    );
+    check_config_section(
+        "AutonomicConfig",
+        AutonomicConfig {
+            cooldown_secs: 30.0,
+            replan_inflight: false,
+            ..Default::default()
+        },
+        "cooldown",
+    );
+    check_config_section(
+        "QosConfig",
+        QosConfig {
+            bandwidth_cap_mb: Some(80.0),
+            streams: 4,
+            ..Default::default()
+        },
+        "streems",
+    );
+    let retry_on = RetryOn {
+        stall: false,
+        ..Default::default()
+    };
+    check_config_section("RetryOn", retry_on, "dest_crashed");
+    let retry = RetryPolicy {
+        max_attempts: 5,
+        retry_on,
+        ..Default::default()
+    };
+    check_config_section("RetryPolicy", retry.clone(), "max_attemps");
+    check_config_section(
+        "ResilienceConfig",
+        ResilienceConfig {
+            retry,
+            downtime_limit_ms: Some(250.0),
+            ..Default::default()
+        },
+        "converge_fraq",
+    );
+}
+
 #[test]
 fn garbage_input_is_an_error_not_a_panic() {
     for bad in [
@@ -414,4 +503,17 @@ fn garbage_input_is_an_error_not_a_panic() {
     for bad in ["", "[1, 2", "{\"strategy\": 4}", "null"] {
         assert!(ScenarioSpec::from_json(bad).is_err(), "accepted: {bad:?}");
     }
+}
+
+/// Hostile nesting fails with a parse error instead of overflowing the
+/// stack: the compat parsers cap nesting depth.
+#[test]
+fn deeply_nested_input_is_an_error_not_a_stack_overflow() {
+    const DEEP: usize = 100_000;
+    let toml = format!("a = {}{}\n", "[".repeat(DEEP), "]".repeat(DEEP));
+    let err = ScenarioSpec::from_toml(&toml).unwrap_err().to_string();
+    assert!(err.contains("nesting deeper than"), "{err}");
+    let json = format!("{}1{}", "{\"a\": ".repeat(DEEP), "}".repeat(DEEP));
+    let err = ScenarioSpec::from_json(&json).unwrap_err().to_string();
+    assert!(err.contains("nesting deeper than"), "{err}");
 }
