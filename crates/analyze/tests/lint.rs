@@ -512,3 +512,24 @@ fn l002_prediction_is_confirmed_by_the_engine() {
         rec.failure
     );
 }
+
+/// When L001 proves a migration cannot finish within the horizon, no
+/// migration may complete. A QoS cap so small that the memory copy's
+/// finish time lies past the end of the simulated clock is the edge
+/// case: the network must report "never", not a finish time that
+/// overflowed into the past and completes the migration at once.
+#[test]
+fn l001_prediction_is_confirmed_by_the_engine() {
+    let spec = clean_spec().with_qos(QosConfig {
+        bandwidth_cap_mb: Some(1e-15),
+        ..QosConfig::default()
+    });
+    assert_fires(&lint(&spec), DiagCode::CapacityInfeasible);
+    let report = run_scenario(&spec).expect("the spec builds and runs");
+    for rec in &report.migrations {
+        assert!(
+            !rec.completed,
+            "the linter proved this cannot complete: {rec:?}"
+        );
+    }
+}

@@ -1099,9 +1099,10 @@ fn bench_one(spec: &ScenarioSpec, threads: usize) -> Result<BenchSummary, UsageE
 /// orchestrated scenarios (evacuation, adaptive fleet, cost fleet, QoS
 /// fleet) and the autonomic hotspot drill — under a wall clock and
 /// record the trajectory numbers. With
-/// `--baseline`, compare events/sec per scenario against a committed
-/// record and warn on >20 % regressions; `--strict` hardens those
-/// warnings into a nonzero exit (the CI gate).
+/// `--baseline`, require the exact work counters to equal a committed
+/// record's and compare events/sec per scenario, warning on >20 %
+/// regressions; `--strict` hardens those warnings into a nonzero exit
+/// (the CI gate).
 fn cmd_bench(
     quick: bool,
     scenario: Option<&str>,
@@ -1151,6 +1152,12 @@ fn cmd_bench(
             ]
         }
     };
+    // Read the baseline before anything is written: `--out` may name the
+    // same file, which must not turn the gate into a self-comparison.
+    let baseline = match baseline {
+        Some(path) => Some((path, baseline_entries(path)?)),
+        None => None,
+    };
     let mut summaries = Vec::with_capacity(specs.len());
     for spec in &specs {
         summaries.push(bench_one(spec, threads)?);
@@ -1160,8 +1167,8 @@ fn cmd_bench(
     std::fs::write(out, format!("{json}\n"))
         .map_err(|e| UsageError(format!("cannot write {out}: {e}")))?;
     println!("{} scenario(s) benched → {}", summaries.len(), out);
-    if let Some(path) = baseline {
-        let warnings = compare_with_baseline(&summaries, path, strict)?;
+    if let Some((path, entries)) = baseline {
+        let warnings = compare_with_baseline(&summaries, &entries, path, strict)?;
         if strict && warnings > 0 {
             return Err(UsageError(format!(
                 "bench gate: {warnings} scenario(s) regressed beyond the threshold (--strict)"
@@ -1171,8 +1178,28 @@ fn cmd_bench(
     Ok(())
 }
 
-/// Per-scenario baseline entry: name and the headline throughput.
-fn baseline_entries(path: &str) -> Result<Vec<(String, f64)>, UsageError> {
+/// An exact work counter of a bench summary: its JSON name and getter.
+type ExactCount = (&'static str, fn(&BenchSummary) -> u64);
+
+/// The exact work counters. The engine is deterministic, so these are
+/// machine-independent: any difference from a baseline record is a
+/// behaviour change, never runner noise.
+const EXACT_COUNTS: [ExactCount; 4] = [
+    ("events", |s| s.events),
+    ("peak_live_flows", |s| s.peak_live_flows),
+    ("migrations_completed", |s| s.migrations_completed as u64),
+    ("total_traffic_bytes", |s| s.total_traffic_bytes),
+];
+
+/// Per-scenario baseline entry: the headline throughput and whichever
+/// [`EXACT_COUNTS`] the record carries, with their recorded values.
+struct BaselineEntry {
+    scenario: String,
+    events_per_sec: f64,
+    counts: Vec<(ExactCount, u64)>,
+}
+
+fn baseline_entries(path: &str) -> Result<Vec<BaselineEntry>, UsageError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| UsageError(format!("cannot read baseline {path}: {e}")))?;
     let value = serde_json::parse(&text)
@@ -1184,41 +1211,69 @@ fn baseline_entries(path: &str) -> Result<Vec<(String, f64)>, UsageError> {
     };
     let mut entries = Vec::with_capacity(items.len());
     for item in &items {
-        let name = match item.get("scenario") {
+        let scenario = match item.get("scenario") {
             Some(serde::Value::Str(s)) => s.clone(),
             _ => continue,
         };
-        let eps = match item.get("events_per_sec") {
+        let events_per_sec = match item.get("events_per_sec") {
             Some(serde::Value::F64(x)) => *x,
             Some(serde::Value::U64(x)) => *x as f64,
             Some(serde::Value::I64(x)) => *x as f64,
             _ => continue,
         };
-        entries.push((name, eps));
+        let counts = EXACT_COUNTS
+            .iter()
+            .filter_map(|&count| match item.get(count.0) {
+                Some(serde::Value::U64(x)) => Some((count, *x)),
+                Some(serde::Value::I64(x)) if *x >= 0 => Some((count, *x as u64)),
+                _ => None,
+            })
+            .collect();
+        entries.push(BaselineEntry {
+            scenario,
+            events_per_sec,
+            counts,
+        });
     }
     Ok(entries)
 }
 
-/// The bench gate: flag scenarios whose events/sec fell more than 20 %
-/// below the committed baseline, returning the warning count. Advisory
-/// by default; under `--strict` the caller turns warnings into a
-/// nonzero exit (what CI runs).
+/// The bench gate against the baseline record `path`, per scenario
+/// present in both records:
+///
+/// * the [`EXACT_COUNTS`] the baseline carries must be equal — a
+///   mismatch is an error whether or not `--strict` is set;
+/// * events/sec more than 20 % below the baseline is a warning, counted
+///   in the return value. Advisory by default; under `--strict` the
+///   caller turns warnings into a nonzero exit (what CI runs).
 fn compare_with_baseline(
     summaries: &[BenchSummary],
+    baseline: &[BaselineEntry],
     path: &str,
     strict: bool,
 ) -> Result<usize, UsageError> {
     const REGRESSION_FRAC: f64 = 0.20;
-    let baseline = baseline_entries(path)?;
     let mut warnings = 0usize;
+    let mut mismatches = Vec::new();
     for s in summaries {
-        let Some((_, base_eps)) = baseline.iter().find(|(name, _)| *name == s.scenario) else {
+        let Some(base) = baseline.iter().find(|b| b.scenario == s.scenario) else {
             println!(
                 "bench gate: {} — no baseline entry in {path}, skipped",
                 s.scenario
             );
             continue;
         };
+        for &((name, get), want) in &base.counts {
+            let got = get(s);
+            if got != want {
+                println!(
+                    "bench gate: MISMATCH {} {name} {got} != {want} in {path}",
+                    s.scenario
+                );
+                mismatches.push(format!("{} {name}", s.scenario));
+            }
+        }
+        let base_eps = base.events_per_sec;
         let delta = (s.events_per_sec - base_eps) / base_eps;
         if delta < -REGRESSION_FRAC {
             warnings += 1;
@@ -1249,6 +1304,12 @@ fn compare_with_baseline(
             "advisory"
         }
     );
+    if !mismatches.is_empty() {
+        return Err(UsageError(format!(
+            "bench gate: work counters differ from {path}: {}",
+            mismatches.join(", ")
+        )));
+    }
     Ok(warnings)
 }
 

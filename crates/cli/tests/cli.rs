@@ -329,6 +329,84 @@ fn bench_baseline_comparison_warns_and_strict_gates() {
     std::fs::remove_file(&base_path).ok();
 }
 
+/// The exact-count gate: the engine is deterministic, so a baseline
+/// whose `events` differs by one from a fresh run of the same scenario
+/// fails the run even without `--strict`, while the unmodified record
+/// passes.
+#[test]
+fn bench_baseline_count_mismatch_fails_without_strict() {
+    let scenario = repo_root().join("scenarios/demo.toml");
+    let out_dir = std::env::temp_dir().join("lsm-bench-count-gate-test");
+    std::fs::create_dir_all(&out_dir).expect("temp dir");
+    let out_path = out_dir.join("BENCH_NOW.json");
+    let base_path = out_dir.join("BENCH_BASE.json");
+    let bench = |baseline: Option<&Path>| {
+        let mut args = vec![
+            "bench",
+            "--scenario",
+            scenario.to_str().unwrap(),
+            "--out",
+            out_path.to_str().unwrap(),
+        ];
+        if let Some(b) = baseline {
+            args.extend(["--baseline", b.to_str().unwrap()]);
+        }
+        lsm(&args)
+    };
+
+    let out = bench(None);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let record = std::fs::read_to_string(&out_path).expect("summary written");
+    let events = record
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("\"events\": "))
+        .and_then(|v| v.trim_end_matches(',').parse::<u64>().ok())
+        .expect("summary has an events count");
+
+    // The record itself is a passing baseline.
+    std::fs::write(&base_path, &record).expect("baseline written");
+    let out = bench(Some(&base_path));
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert!(!stdout(&out).contains("MISMATCH"), "{}", stdout(&out));
+
+    // One event more in the baseline: a hard failure, no --strict needed.
+    let doctored = record.replacen(
+        &format!("\"events\": {events},"),
+        &format!("\"events\": {},", events + 1),
+        1,
+    );
+    assert_ne!(doctored, record, "events count replaced");
+    std::fs::write(&base_path, doctored).expect("baseline written");
+    let out = bench(Some(&base_path));
+    assert!(!out.status.success(), "count mismatch must fail");
+    assert!(
+        stdout(&out).contains(&format!("MISMATCH demo events {events} != {}", events + 1)),
+        "{}",
+        stdout(&out)
+    );
+    assert!(
+        stderr(&out).contains("work counters differ"),
+        "stderr: {}",
+        stderr(&out)
+    );
+
+    // `--out` naming the baseline file must not make the gate compare
+    // the fresh summary with itself.
+    let out = lsm(&[
+        "bench",
+        "--scenario",
+        scenario.to_str().unwrap(),
+        "--out",
+        base_path.to_str().unwrap(),
+        "--baseline",
+        base_path.to_str().unwrap(),
+    ]);
+    assert!(!out.status.success(), "doctored baseline read before --out");
+
+    std::fs::remove_file(&out_path).ok();
+    std::fs::remove_file(&base_path).ok();
+}
+
 #[test]
 fn bench_strict_requires_a_baseline() {
     let out = lsm(&["bench", "--strict"]);

@@ -8,13 +8,17 @@
 //! produce that allocation:
 //!
 //! * [`SolverMode::Incremental`] (the default) keeps persistent
-//!   bookkeeping — flat flow storage, reusable scratch tables, per-node
-//!   flow indices — so a recompute allocates nothing. When the switch
-//!   aggregate provably cannot be a bottleneck (capacity at least twice
-//!   the summed NIC capacity, see [`FlowNet::switch_decoupled`]), a
+//!   bookkeeping — flat flow storage, per-node in/out flow adjacency,
+//!   reusable scratch tables — so a recompute allocates nothing. When the
+//!   switch aggregate provably cannot be a bottleneck (capacity at least
+//!   twice the summed NIC capacity, see [`FlowNet::switch_decoupled`]), a
 //!   change re-solves only the flows transitively sharing a node with
-//!   the changed flow (dirty-marking by connected component); everyone
-//!   else keeps their rate bit-for-bit.
+//!   the changed flow (the connected component); everyone else keeps
+//!   their rate bit-for-bit. That path costs O(size of the component):
+//!   the component is walked over the adjacency lists, and the
+//!   water-filling runs over the component's own resources only.
+//!   Removing a flow additionally shifts the flat flow tables, a memmove.
+//!   When the switch can bind, every change re-solves the full flow set.
 //! * [`SolverMode::Reference`] re-runs the original from-scratch
 //!   water-filling on every change. It is kept as a test oracle: the
 //!   incremental solver must produce **bit-identical** rates, reports and
@@ -30,6 +34,10 @@
 //! cancelled, or projected on the fly for queries. Between rate changes
 //! a flow's progress is exactly linear, so nothing is lost by not
 //! walking every flow on every event.
+//!
+//! The same triple fixes a flow's finish time, so it is computed once
+//! per rate change and cached; [`FlowNet::next_completion`] is then a
+//! compare-only scan (no division) over the cached finish times.
 
 use crate::reference;
 use crate::topology::{NodeId, Topology};
@@ -160,11 +168,14 @@ impl Flow {
 
 /// Reusable solver state: everything the incremental allocator needs
 /// across recomputes, so a recompute performs no allocation once the
-/// buffers reached steady-state capacity.
+/// buffers reached steady-state capacity. A component solve touches only
+/// the entries of its own component; the per-node tables are sized once
+/// at construction and never reset.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Residual capacity per resource (uplinks, downlinks, switch, then
-    /// one virtual resource per capped member flow).
+    /// Residual capacity per resource. Full solve: uplinks, downlinks,
+    /// switch, then one virtual resource per capped flow. Component
+    /// solve: the same layout over the component's nodes only.
     cap_left: Vec<f64>,
     /// Unfixed member flows crossing each resource.
     count: Vec<u32>,
@@ -173,21 +184,18 @@ struct Scratch {
     /// Solved rates per member flow; [`UNFIXED`] marks not-yet-frozen
     /// flows during the water-filling (real shares are never negative).
     new_rates: Vec<f64>,
-    /// Member flow indices (into `FlowNet::flows`), ascending.
+    /// Member flow ids, then their indices into `FlowNet::flows`; both
+    /// ascending.
+    member_ids: Vec<FlowId>,
     mflows: Vec<u32>,
-    /// Component membership per flow index.
-    member: Vec<bool>,
-    /// CSR of flow indices by source node / by destination node
-    /// (`*_cur` are the fill cursors, persisted to stay allocation-free).
-    src_off: Vec<u32>,
-    src_cur: Vec<u32>,
-    src_idx: Vec<u32>,
-    dst_off: Vec<u32>,
-    dst_cur: Vec<u32>,
-    dst_idx: Vec<u32>,
-    /// BFS state over nodes.
-    node_seen: Vec<bool>,
-    stack: Vec<u32>,
+    /// The component's nodes: discovery order during the walk (it doubles
+    /// as the work queue), then ascending.
+    cnodes: Vec<u32>,
+    /// Per node: the walk epoch that last reached it (so "seen" needs no
+    /// reset), and its rank in `cnodes` (valid for reached nodes only).
+    node_epoch: Vec<u32>,
+    node_rank: Vec<u32>,
+    epoch: u32,
 }
 
 /// The flow-level network simulator. See the crate docs for the model.
@@ -240,6 +248,14 @@ pub struct FlowNet {
     /// Live-flow counts per physical resource, maintained on every flow
     /// insert/remove — the full solve's `count` table starts as a copy.
     count_all: Vec<u32>,
+    /// Cached finish time per flow, parallel to `flows` (see
+    /// [`finish_time`]); refreshed whenever a flow's rate changes.
+    finish: Vec<SimTime>,
+    /// Per node, the live flows leaving it as `(id, dst)` and entering it
+    /// as `(id, src)`, in no particular order. The component walk follows
+    /// these instead of scanning every flow.
+    out_adj: Vec<Vec<(FlowId, u32)>>,
+    in_adj: Vec<Vec<(FlowId, u32)>>,
     scratch: Scratch,
 }
 
@@ -275,7 +291,14 @@ impl FlowNet {
             base_caps,
             factors: vec![1.0; n],
             count_all: vec![0; 2 * n + 1],
-            scratch: Scratch::default(),
+            finish: Vec::new(),
+            out_adj: vec![Vec::new(); n],
+            in_adj: vec![Vec::new(); n],
+            scratch: Scratch {
+                node_epoch: vec![0; n],
+                node_rank: vec![0; n],
+                ..Scratch::default()
+            },
         }
     }
 
@@ -396,7 +419,7 @@ impl FlowNet {
         self.advance(now);
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        self.flows.push(Flow {
+        let flow = Flow {
             id,
             src,
             dst,
@@ -406,7 +429,11 @@ impl FlowNet {
             cap,
             tag,
             touched: now,
-        });
+        };
+        self.finish.push(finish_time(&flow));
+        self.flows.push(flow);
+        self.out_adj[src.idx()].push((id, dst.0));
+        self.in_adj[dst.idx()].push((id, src.0));
         let n = self.topo.len();
         let vres = match cap {
             Some(c) => {
@@ -425,12 +452,22 @@ impl FlowNet {
         id
     }
 
-    /// Drop the physical-resource counts of a removed flow.
-    fn uncount(&mut self, src: NodeId, dst: NodeId) {
+    /// Remove the flow at `pos` from every table (flows, rows, cached
+    /// finish times, adjacency, resource counts) after materializing its
+    /// progress to the network clock, and return it.
+    fn take_flow(&mut self, pos: usize) -> Flow {
+        self.materialize(pos);
+        let f = self.flows.remove(pos);
+        self.finish.remove(pos);
+        self.remove_row(pos);
+        let (s, d) = (f.src.idx(), f.dst.idx());
+        unlink(&mut self.out_adj[s], f.id);
+        unlink(&mut self.in_adj[d], f.id);
         let n = self.topo.len();
-        self.count_all[src.idx()] -= 1;
-        self.count_all[n + dst.idx()] -= 1;
+        self.count_all[s] -= 1;
+        self.count_all[n + d] -= 1;
         self.count_all[2 * n] -= 1;
+        f
     }
 
     /// Remove a flow's resource row, shifting later capped flows'
@@ -452,10 +489,7 @@ impl FlowNet {
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<u64> {
         self.advance(now);
         let pos = self.flow_pos(id)?;
-        self.materialize(pos);
-        let f = self.flows.remove(pos);
-        self.remove_row(pos);
-        self.uncount(f.src, f.dst);
+        let f = self.take_flow(pos);
         let left = f.remaining.ceil().max(0.0) as u64;
         let done = f.bytes.saturating_sub(left);
         self.finished[f.tag.index()] += done;
@@ -470,9 +504,7 @@ impl FlowNet {
     pub fn complete(&mut self, now: SimTime, id: FlowId) {
         self.advance(now);
         let pos = self.flow_pos(id).expect("completing unknown flow");
-        self.materialize(pos);
-        let f = self.flows.remove(pos);
-        self.remove_row(pos);
+        let f = self.take_flow(pos);
         debug_assert!(
             f.remaining < 1.0,
             "flow completed with {} bytes left",
@@ -483,34 +515,33 @@ impl FlowNet {
         // sizes and are integers — order-independent across shards.
         self.finished[f.tag.index()] += f.bytes;
         self.finished_total += f.bytes;
-        self.uncount(f.src, f.dst);
         self.log_load();
         self.reallocate(f.src, f.dst);
     }
 
-    /// Earliest `(finish_time, flow)` among in-flight flows. Deterministic:
-    /// ties resolve to the lowest flow id.
+    /// Earliest `(finish_time, flow)` among in-flight flows, never
+    /// earlier than the network clock. Deterministic: ties (including
+    /// every overdue flow, which all clamp to the clock) resolve to the
+    /// lowest flow id. A compare-only scan of the cached finish times.
     pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
-        let mut best: Option<(SimTime, FlowId)> = None;
-        for f in &self.flows {
-            let t = if f.remaining <= 0.5 {
-                // Sub-byte residue: effectively already done.
-                self.last_advance
-            } else if f.rate <= 0.0 {
-                SimTime::FAR_FUTURE
-            } else {
-                // `remaining` is the value at `touched`; the rate has
-                // been constant since, so the finish time is exact.
-                (f.touched + SimDuration::from_secs_f64(f.remaining / f.rate))
-                    .max(self.last_advance)
-            };
+        let now = self.last_advance;
+        let mut best: Option<(SimTime, usize)> = None;
+        for (i, &t) in self.finish.iter().enumerate() {
+            let t = t.max(now);
             match best {
-                None => best = Some((t, f.id)),
-                Some((bt, _)) if t < bt => best = Some((t, f.id)),
-                _ => {}
+                Some((bt, _)) if t >= bt => {}
+                _ => best = Some((t, i)),
             }
         }
-        best
+        best.map(|(t, i)| (t, self.flows[i].id))
+    }
+
+    /// [`Self::next_completion`] recomputed by the original linear scan,
+    /// which derives every finish time afresh: an independent oracle for
+    /// the cached lookup in the equivalence tests.
+    #[doc(hidden)]
+    pub fn reference_next_completion(&self) -> Option<(SimTime, FlowId)> {
+        reference::next_completion(&self.flows, self.last_advance)
     }
 
     /// Move the network clock to `now`. O(1): per-flow progress is
@@ -625,7 +656,7 @@ impl FlowNet {
         };
         self.factors[node.idx()] = factor;
         // The topology is what the reference solver reads; the flat table
-        // is what the incremental solver memcpys. Both must move together.
+        // is what the incremental solver reads. Both must move together.
         self.topo.set_caps(node, caps);
         let n = self.topo.len();
         self.caps_flat[node.idx()] = caps.up;
@@ -710,97 +741,72 @@ impl FlowNet {
 
     /// Fill `scratch.mflows` with the connected component (via shared
     /// nodes) of the changed endpoints — only these flows' rates can
-    /// change when the switch is decoupled.
+    /// change when the switch is decoupled — and `scratch.cnodes` with
+    /// its nodes, ascending. Walks the adjacency lists, so the cost is
+    /// the component's size plus a sort of its nodes and flows.
     fn mark_component(&mut self, src: NodeId, dst: NodeId) {
-        let m = self.flows.len();
         let s = &mut self.scratch;
+        s.epoch = s.epoch.wrapping_add(1);
+        if s.epoch == 0 {
+            // Wrapped: stale stamps could collide with the new epoch.
+            s.node_epoch.fill(0);
+            s.epoch = 1;
+        }
+        let epoch = s.epoch;
+        s.cnodes.clear();
+        s.member_ids.clear();
+        for u in [src.0, dst.0] {
+            if s.node_epoch[u as usize] != epoch {
+                s.node_epoch[u as usize] = epoch;
+                s.cnodes.push(u);
+            }
+        }
+        // `cnodes` is the work queue. Every member flow is collected
+        // exactly once, from its source node's out-list.
+        let mut next = 0;
+        while next < s.cnodes.len() {
+            let u = s.cnodes[next] as usize;
+            next += 1;
+            for &(id, v) in &self.out_adj[u] {
+                s.member_ids.push(id);
+                if s.node_epoch[v as usize] != epoch {
+                    s.node_epoch[v as usize] = epoch;
+                    s.cnodes.push(v);
+                }
+            }
+            for &(_, v) in &self.in_adj[u] {
+                if s.node_epoch[v as usize] != epoch {
+                    s.node_epoch[v as usize] = epoch;
+                    s.cnodes.push(v);
+                }
+            }
+        }
+        s.cnodes.sort_unstable();
+        for (rank, &u) in s.cnodes.iter().enumerate() {
+            s.node_rank[u as usize] = rank as u32;
+        }
+        s.member_ids.sort_unstable();
         s.mflows.clear();
-        let n = self.topo.len();
-        // CSR of flow indices per source node and per destination node.
-        s.src_off.clear();
-        s.src_off.resize(n + 1, 0);
-        s.dst_off.clear();
-        s.dst_off.resize(n + 1, 0);
-        for row in &self.rows {
-            s.src_off[row[0] as usize + 1] += 1;
-            s.dst_off[(row[1] as usize - n) + 1] += 1;
-        }
-        for i in 0..n {
-            s.src_off[i + 1] += s.src_off[i];
-            s.dst_off[i + 1] += s.dst_off[i];
-        }
-        s.src_idx.clear();
-        s.src_idx.resize(m, 0);
-        s.dst_idx.clear();
-        s.dst_idx.resize(m, 0);
-        // Second pass fills slots; the cursors are persistent scratch
-        // copies of the offsets, so no per-recompute allocation.
-        s.src_cur.clear();
-        s.src_cur.extend_from_slice(&s.src_off);
-        s.dst_cur.clear();
-        s.dst_cur.extend_from_slice(&s.dst_off);
-        for (i, row) in self.rows.iter().enumerate() {
-            let su = row[0] as usize;
-            s.src_idx[s.src_cur[su] as usize] = i as u32;
-            s.src_cur[su] += 1;
-            let du = row[1] as usize - n;
-            s.dst_idx[s.dst_cur[du] as usize] = i as u32;
-            s.dst_cur[du] += 1;
-        }
-        s.member.clear();
-        s.member.resize(m, false);
-        s.node_seen.clear();
-        s.node_seen.resize(n, false);
-        s.stack.clear();
-        for u in [src.idx(), dst.idx()] {
-            if !s.node_seen[u] {
-                s.node_seen[u] = true;
-                s.stack.push(u as u32);
-            }
-        }
-        while let Some(u) = s.stack.pop() {
-            let u = u as usize;
-            for k in s.src_off[u]..s.src_off[u + 1] {
-                let fi = s.src_idx[k as usize] as usize;
-                if !s.member[fi] {
-                    s.member[fi] = true;
-                    let other = self.rows[fi][1] as usize - n;
-                    if !s.node_seen[other] {
-                        s.node_seen[other] = true;
-                        s.stack.push(other as u32);
-                    }
-                }
-            }
-            for k in s.dst_off[u]..s.dst_off[u + 1] {
-                let fi = s.dst_idx[k as usize] as usize;
-                if !s.member[fi] {
-                    s.member[fi] = true;
-                    let other = self.rows[fi][0] as usize;
-                    if !s.node_seen[other] {
-                        s.node_seen[other] = true;
-                        s.stack.push(other as u32);
-                    }
-                }
-            }
-        }
-        for (i, &is_member) in s.member.iter().enumerate() {
-            if is_member {
-                s.mflows.push(i as u32);
-            }
+        for id in &s.member_ids {
+            let pos = self.flows.binary_search_by_key(id, |f| f.id);
+            s.mflows.push(pos.expect("adjacent flow is live") as u32);
         }
     }
 
     /// Progressive-filling max–min fair allocation over the member flows,
     /// into `scratch.new_rates` (indexed like `scratch.mflows`).
     ///
-    /// Resources: per-node uplink (`0..n`), per-node downlink (`n..2n`),
-    /// the switch aggregate (`2n`), and one virtual resource per capped
-    /// member flow. Each iteration saturates the currently most
-    /// constrained resource and freezes the flows crossing it, so the
-    /// loop runs at most `|members|` times. The arithmetic — table
-    /// layout, iteration order, subtraction order, tie-breaking — is
-    /// exactly the reference solver's, restricted to the member set, so
-    /// the resulting rates are bit-identical (see `reference.rs`).
+    /// Resources are the component's own: uplinks of the component nodes
+    /// (ascending), their downlinks, the switch aggregate, then one
+    /// virtual resource per capped member flow in member order. Each
+    /// iteration saturates the currently most constrained resource and
+    /// freezes the flows crossing it, so the loop runs at most
+    /// `|members|` times. Resources outside the component carry no member
+    /// flow and are skipped by the full layout anyway; keeping the
+    /// relative order of the rest keeps the lowest-index tie-break, so
+    /// the arithmetic — iteration order, subtraction order, tie-breaking
+    /// — is exactly the reference solver's restricted to the member set,
+    /// and the rates are bit-identical (see `reference.rs`).
     fn solve_members(&mut self) {
         let n = self.topo.len();
         let s = &mut self.scratch;
@@ -808,30 +814,38 @@ impl FlowNet {
         if m == 0 {
             return;
         }
+        let k = s.cnodes.len() as u32;
 
         s.cap_left.clear();
-        s.cap_left.extend_from_slice(&self.caps_flat);
+        for &u in &s.cnodes {
+            s.cap_left.push(self.caps_flat[u as usize]);
+        }
+        for &u in &s.cnodes {
+            s.cap_left.push(self.caps_flat[n + u as usize]);
+        }
+        s.cap_left.push(self.caps_flat[2 * n]);
 
-        let vbase = (2 * n + 1) as u32;
         s.flow_res.clear();
         for &fi in &s.mflows {
             // `NO_RES` pads uncapped flows so every row is a flat [u32; 4]
             // (no per-flow length array, no slice re-borrows in the hot
             // loop). The sentinel never equals a real resource index.
-            // Member-restricted solves renumber the virtual-cap slots
-            // compactly (reference layout over the member set).
-            let mut res = self.rows[fi as usize];
-            if res[3] != NO_RES {
-                let cap = self.caps_list[(res[3] - vbase) as usize];
+            let f = &self.flows[fi as usize];
+            let mut res = [
+                s.node_rank[f.src.idx()],
+                k + s.node_rank[f.dst.idx()],
+                2 * k,
+                NO_RES,
+            ];
+            if let Some(cap) = f.cap {
                 res[3] = s.cap_left.len() as u32;
                 s.cap_left.push(cap);
             }
             s.flow_res.push(res);
         }
 
-        let nres = s.cap_left.len();
         s.count.clear();
-        s.count.resize(nres, 0);
+        s.count.resize(s.cap_left.len(), 0);
         for res in &s.flow_res {
             for &r in res {
                 if r == NO_RES {
@@ -867,45 +881,67 @@ impl FlowNet {
     /// progress only for flows whose rate actually changed.
     fn apply_rates_all(&mut self) {
         let now = self.last_advance;
-        let new_rates = std::mem::take(&mut self.scratch.new_rates);
-        for (f, &new_rate) in self.flows.iter_mut().zip(new_rates.iter()) {
-            commit_rate(f, new_rate, now);
+        let rates = self.scratch.new_rates.iter();
+        for ((f, fin), &new_rate) in self.flows.iter_mut().zip(&mut self.finish).zip(rates) {
+            commit_rate(f, fin, new_rate, now);
         }
-        self.scratch.new_rates = new_rates;
     }
 
     /// Commit `scratch.new_rates` to the member flows, materializing
     /// progress only for flows whose rate actually changed.
     fn apply_member_rates(&mut self) {
         let now = self.last_advance;
-        // `scratch` and `flows` are disjoint fields; take the member list
-        // out to keep the borrow checker out of the inner loop.
-        let mflows = std::mem::take(&mut self.scratch.mflows);
-        for (&fi, &new_rate) in mflows.iter().zip(self.scratch.new_rates.iter()) {
-            commit_rate(&mut self.flows[fi as usize], new_rate, now);
+        let s = &self.scratch;
+        for (&fi, &new_rate) in s.mflows.iter().zip(&s.new_rates) {
+            let fi = fi as usize;
+            commit_rate(&mut self.flows[fi], &mut self.finish[fi], new_rate, now);
         }
-        self.scratch.mflows = mflows;
     }
+}
+
+/// Drop flow `id` from one node's adjacency list.
+fn unlink(adj: &mut Vec<(FlowId, u32)>, id: FlowId) {
+    let i = adj.iter().position(|e| e.0 == id);
+    adj.swap_remove(i.expect("flow is in its endpoints' adjacency"));
+}
+
+/// When `f` finishes at its current rate: `touched` plus the time to
+/// move `remaining`. A sub-byte residue is due at once ([`SimTime::ZERO`]
+/// always clamps to the network clock); a stalled flow, or one too slow
+/// to finish within the representable horizon, never finishes
+/// ([`SimTime::FAR_FUTURE`]) instead of overflowing the clock.
+fn finish_time(f: &Flow) -> SimTime {
+    if f.remaining <= 0.5 {
+        return SimTime::ZERO;
+    }
+    if f.rate <= 0.0 {
+        return SimTime::FAR_FUTURE;
+    }
+    let secs = f.remaining / f.rate;
+    if !secs.is_finite() {
+        return SimTime::FAR_FUTURE;
+    }
+    f.touched.saturating_add(SimDuration::from_secs_f64(secs))
 }
 
 /// Commit one solved rate: materialize the flow's progress only when the
 /// rate actually changed (bitwise) and time has passed since the last
-/// materialization. Shared by the full-set and member-solve commit paths
-/// so their progress tracking cannot drift apart.
+/// materialization, and refresh its cached finish time. Shared by the
+/// full-set and member-solve commit paths so their progress tracking
+/// cannot drift apart.
 #[inline]
-fn commit_rate(f: &mut Flow, new_rate: f64, now: SimTime) {
+fn commit_rate(f: &mut Flow, finish: &mut SimTime, new_rate: f64, now: SimTime) {
     if f.rate.to_bits() == new_rate.to_bits() {
         return;
     }
-    if f.touched == now {
-        // Rate changed again within the same instant: nothing moved.
-        f.rate = new_rate;
-        return;
+    if f.touched != now {
+        let moved = f.moved_until(now);
+        f.remaining -= moved;
+        f.touched = now;
     }
-    let moved = f.moved_until(now);
-    f.remaining -= moved;
-    f.touched = now;
+    // Within the same instant nothing moved: only the rate changes.
     f.rate = new_rate;
+    *finish = finish_time(f);
 }
 
 /// The progressive-filling core shared by the full-set and component
@@ -1173,6 +1209,37 @@ mod tests {
         let f = net.start_flow(t(2.0), NodeId(0), NodeId(1), 0, None, TrafficTag::Control);
         let (done, id) = net.next_completion().unwrap();
         assert_eq!((done, id), (t(2.0), f));
+    }
+
+    #[test]
+    fn tiny_rate_never_finishes_instead_of_overflowing() {
+        // 1 GiB at 1e-12 B/s is ~1e21 s away: far past the u64-nanosecond
+        // clock. The finish time must saturate, not wrap into the past.
+        let mut net = FlowNet::new(topo(4));
+        let f = net.start_flow(
+            t(1.0),
+            NodeId(0),
+            NodeId(1),
+            1 << 30,
+            Some(1e-12),
+            TrafficTag::Memory,
+        );
+        assert_eq!(net.rate_of(f), Some(1e-12));
+        assert_eq!(net.next_completion(), Some((SimTime::FAR_FUTURE, f)));
+        assert_eq!(net.reference_next_completion(), net.next_completion());
+        net.advance(t(2.0));
+        assert_eq!(net.next_completion(), Some((SimTime::FAR_FUTURE, f)));
+        // A subnormal rate makes the transfer time itself infinite.
+        let mut net = FlowNet::new(topo(4));
+        let g = net.start_flow(
+            Z,
+            NodeId(0),
+            NodeId(1),
+            1 << 30,
+            Some(1e-320),
+            TrafficTag::Memory,
+        );
+        assert_eq!(net.next_completion(), Some((SimTime::FAR_FUTURE, g)));
     }
 
     #[test]

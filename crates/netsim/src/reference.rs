@@ -9,10 +9,45 @@
 //! solvers in lockstep and assert exact equality of rates, remaining
 //! bytes, delivered-byte accounting and completion times.
 //!
+//! [`next_completion`] is the original completion lookup in the same
+//! spirit: a linear scan that derives every finish time from
+//! `(touched, remaining, rate)` on each call. The production lookup reads
+//! cached finish times instead, and the equivalence suite asserts both
+//! agree after every step.
+//!
 //! Keep this file boring: any "optimization" here defeats its purpose.
 
-use crate::net::Flow;
+use crate::net::{Flow, FlowId};
 use crate::topology::{NodeId, Topology};
+use lsm_simcore::time::{SimDuration, SimTime};
+
+/// Earliest `(finish_time, flow)` among `flows` (ascending id order),
+/// clamped to the network clock `now`; ties resolve to the lowest flow
+/// id. A finish time past the end of the clock saturates to
+/// [`SimTime::FAR_FUTURE`].
+pub(crate) fn next_completion(flows: &[Flow], now: SimTime) -> Option<(SimTime, FlowId)> {
+    let mut best: Option<(SimTime, FlowId)> = None;
+    for f in flows {
+        let t = if f.remaining <= 0.5 {
+            // Sub-byte residue: effectively already done.
+            now
+        } else if f.rate <= 0.0 {
+            SimTime::FAR_FUTURE
+        } else {
+            // `remaining` is the value at `touched`; the rate has
+            // been constant since, so the finish time is exact.
+            f.touched
+                .saturating_add(SimDuration::from_secs_f64(f.remaining / f.rate))
+                .max(now)
+        };
+        match best {
+            None => best = Some((t, f.id)),
+            Some((bt, _)) if t < bt => best = Some((t, f.id)),
+            _ => {}
+        }
+    }
+    best
+}
 
 /// Progressive-filling max–min fair allocation over all `flows`
 /// (ascending id order, as stored by `FlowNet`). Returns one rate per

@@ -10,6 +10,11 @@
 //! both regimes: switch-coupled (full re-solve) and switch-decoupled
 //! (component dirty-marking) — and the capacity mutations drive
 //! transitions *between* the regimes mid-run.
+//!
+//! Both networks share one `next_completion`, which reads cached finish
+//! times; after every step each network's answer is also checked against
+//! the original linear scan (`reference_next_completion`), so a stale
+//! cache cannot pass in both modes at once.
 
 use lsm_netsim::{FlowId, FlowNet, NodeCaps, NodeId, SolverMode, Topology, TrafficTag};
 use lsm_simcore::time::SimTime;
@@ -24,6 +29,9 @@ struct Lockstep {
     refr: FlowNet,
     live: Vec<FlowId>,
     now: SimTime,
+    /// Node-group size for [`Self::grouped`] schedules, which keep most
+    /// flows inside small node groups; `None` draws endpoints uniformly.
+    group: Option<u32>,
 }
 
 impl Lockstep {
@@ -37,7 +45,38 @@ impl Lockstep {
             refr,
             live: Vec::new(),
             now: SimTime::ZERO,
+            group: None,
         }
+    }
+
+    /// A schedule over many small components: endpoints mostly within
+    /// groups of `group` consecutive nodes, with occasional cross-group
+    /// flows that merge components. Flow sizes include empty and
+    /// few-byte flows (sub-byte residues, overdue ties), caps include
+    /// zero (stalled flows), and link faults hit three fixed nodes so
+    /// restores recur and the switch regime flips back and forth.
+    fn grouped(topo: Topology, group: u32) -> Self {
+        Lockstep {
+            group: Some(group),
+            ..Self::new(topo)
+        }
+    }
+
+    /// Endpoints of a new flow from two raw draws.
+    fn endpoints(&self, a: u32, b: u32) -> (u32, u32) {
+        let n = self.inc.topology().len() as u32;
+        let src = a % n;
+        let mut dst = match self.group {
+            Some(g) if !b.is_multiple_of(16) => {
+                let base = src - src % g;
+                base + (b / 16) % g.min(n - base)
+            }
+            _ => b % n,
+        };
+        if dst == src {
+            dst = (dst + 1) % n;
+        }
+        (src, dst)
     }
 
     fn check(&self) -> Result<(), TestCaseError> {
@@ -55,6 +94,9 @@ impl Lockstep {
             prop_assert_eq!(self.inc.remaining_of(id), self.refr.remaining_of(id));
         }
         prop_assert_eq!(self.inc.next_completion(), self.refr.next_completion());
+        for net in [&self.inc, &self.refr] {
+            prop_assert_eq!(net.next_completion(), net.reference_next_completion());
+        }
         for tag in TrafficTag::ALL {
             prop_assert_eq!(self.inc.delivered(tag), self.refr.delivered(tag));
         }
@@ -73,18 +115,20 @@ impl Lockstep {
         match code % 5 {
             0 | 1 => {
                 // Start a flow.
-                let src = a % n;
-                let mut dst = b % n;
-                if dst == src {
-                    dst = (dst + 1) % n;
-                }
-                let cap = if x < 0.3 {
+                let (src, dst) = self.endpoints(a, b);
+                let cap = if self.group.is_some() && x < 0.02 {
+                    Some(0.0)
+                } else if x < 0.3 {
                     Some(mb_per_s(1.0 + x * 200.0))
                 } else {
                     None
                 };
                 let tag = TrafficTag::ALL[(a as usize + b as usize) % TrafficTag::ALL.len()];
-                let sz = bytes % (64 * MIB);
+                let sz = match (self.group, bytes >> 61) {
+                    (Some(_), 0) => 0,
+                    (Some(_), 1) => bytes % 4096,
+                    _ => bytes % (64 * MIB),
+                };
                 let fi = self
                     .inc
                     .start_flow(self.now, NodeId(src), NodeId(dst), sz, cap, tag);
@@ -96,7 +140,7 @@ impl Lockstep {
             }
             2 => {
                 // Degrade (or restore) a node's NIC at runtime.
-                let node = NodeId(a % n);
+                let node = NodeId(if self.group.is_some() { a % 3 } else { a % n });
                 // Quantized factors so restore (1.0) actually occurs.
                 let factor = match b % 4 {
                     0 => 1.0,
@@ -143,7 +187,10 @@ impl Lockstep {
 }
 
 fn run_schedule(topo: Topology, ops: &[RawOp]) -> Result<(), TestCaseError> {
-    let mut ls = Lockstep::new(topo);
+    run_lockstep(Lockstep::new(topo), ops)
+}
+
+fn run_lockstep(mut ls: Lockstep, ops: &[RawOp]) -> Result<(), TestCaseError> {
     for &op in ops {
         ls.step(op)?;
     }
@@ -221,5 +268,82 @@ proptest! {
             );
         }
         run_schedule(topo, &ops)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Many small components: the fleet regime, where a change re-solves
+    /// a component of a few nodes out of hundreds. Exercises adjacency
+    /// removal, compact resource numbering and components merging
+    /// through cross-group flows. The switch sits just under the
+    /// decoupling threshold for `borderline` cases, so link faults on
+    /// the three fault nodes flip the regime both ways mid-run.
+    #[test]
+    fn many_components_lockstep(
+        nodes in 32usize..257,
+        group in 2u32..7,
+        nic in 20.0f64..200.0,
+        borderline in 0u8..2,
+        ops in prop::collection::vec(raw_op(), 100..400),
+    ) {
+        let sum = nic * nodes as f64;
+        let switch = if borderline == 1 { 2.0 * (sum - 0.25 * nic) } else { 4.0 * sum };
+        let topo = Topology::symmetric(nodes, mb_per_s(nic), mb_per_s(switch));
+        prop_assert_eq!(FlowNet::switch_decoupled(&topo), borderline == 0);
+        run_lockstep(Lockstep::grouped(topo, group), &ops)?;
+    }
+}
+
+/// The cached completion lookup against the original scan on each rule
+/// it has to reproduce, under both solvers.
+#[test]
+fn next_completion_matches_reference_scan_on_each_rule() {
+    let z = SimTime::ZERO;
+    let t = SimTime::from_secs_f64;
+    let topo = Topology::symmetric(6, mb_per_s(100.0), mb_per_s(10_000.0));
+    let tag = TrafficTag::StoragePush;
+    for mode in [SolverMode::Incremental, SolverMode::Reference] {
+        let mut net = FlowNet::new(topo.clone());
+        net.set_solver(mode);
+        let agree = |net: &FlowNet| {
+            let got = net.next_completion();
+            assert_eq!(got, net.reference_next_completion(), "{mode:?}");
+            got
+        };
+        assert_eq!(agree(&net), None);
+
+        // Rate 0: a zero cap stalls the flow, which never finishes.
+        let stalled = net.start_flow(z, NodeId(4), NodeId(5), MIB, Some(0.0), tag);
+        assert_eq!(net.rate_of(stalled), Some(0.0));
+        assert_eq!(agree(&net), Some((SimTime::FAR_FUTURE, stalled)));
+
+        // Earliest raw finish wins while nothing is overdue.
+        let a = net.start_flow(z, NodeId(0), NodeId(1), 100 * MIB, None, tag);
+        let b = net.start_flow(z, NodeId(2), NodeId(3), 50 * MIB, None, tag);
+        let (tb, id) = agree(&net).expect("flows in flight");
+        assert_eq!(id, b);
+        assert!(tb > z && tb < SimTime::FAR_FUTURE);
+
+        // Clamp: once the clock passes both finishes, both are overdue
+        // at the clock and the lowest id wins, not the earliest finish.
+        net.advance(t(5.0));
+        assert_eq!(agree(&net), Some((t(5.0), a)));
+        net.complete(t(5.0), a);
+        assert_eq!(agree(&net), Some((t(5.0), b)));
+        net.complete(t(5.0), b);
+        assert_eq!(agree(&net), Some((SimTime::FAR_FUTURE, stalled)));
+
+        // Sub-byte residue: an empty flow is due at once, ahead of a
+        // lower-id flow still in progress, and stays clamped to the clock.
+        let c = net.start_flow(t(5.0), NodeId(0), NodeId(1), 100 * MIB, None, tag);
+        let empty = net.start_flow(t(5.0), NodeId(2), NodeId(3), 0, None, tag);
+        assert!(c < empty);
+        assert_eq!(agree(&net), Some((t(5.0), empty)));
+        net.advance(t(5.5));
+        assert_eq!(agree(&net), Some((t(5.5), empty)));
+        net.complete(t(5.5), empty);
+        assert_eq!(agree(&net).map(|(_, id)| id), Some(c));
     }
 }
