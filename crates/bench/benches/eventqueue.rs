@@ -2,10 +2,13 @@
 //! events is the scale1024 regime (2048 VMs × compute ticks, dirty-rate
 //! updates, flow wakes), where the binary heap with lazy-cancel
 //! tombstones is squarely on the hot path. Three operations matter:
-//! scheduling into a full heap (sift-up), popping through it
-//! (sift-down, skipping tombstones), and cancel — which must stay O(1)
-//! (a tombstone insert), since `update_compute` cancels and reschedules
-//! a VM's compute event on every rate change.
+//! scheduling into a full heap (sift-up plus one `pending` insert),
+//! popping through it (sift-down, skipping tombstones, one `pending`
+//! remove each), and cancel — which must stay O(1) (one flag flip in
+//! `pending`), since `update_compute` cancels and reschedules a VM's
+//! compute event on every rate change. `pending` is an `IdMap` keyed by
+//! sequence number, so each of those lookups is one integer multiply
+//! rather than a SipHash.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lsm_simcore::event::EventQueue;

@@ -162,6 +162,39 @@ fn run_json_output_is_parseable_and_complete() {
 }
 
 #[test]
+fn run_tiny_disk_never_completes_a_migration() {
+    // Regression: a disk lane's finish time overflowed (and wrapped to
+    // "already done") when a request would take longer than u64
+    // nanoseconds, so the demo at 1e-6 B/s reported both migrations
+    // completed within seconds. One byte at that rate takes 11.6 days.
+    let demo = std::fs::read_to_string(repo_root().join("scenarios/demo.toml")).unwrap();
+    let text = demo.replacen("[cluster]\n", "[cluster]\ndisk_bw = 1e-6\n", 1);
+    assert_ne!(text, demo, "demo.toml has a [cluster] table");
+    let path = std::env::temp_dir().join("lsm-cli-test-tiny-disk.toml");
+    std::fs::write(&path, text).unwrap();
+    let out = lsm(&["run", path.to_str().unwrap(), "--json", "--threads", "1"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let v = serde_json::parse(&stdout(&out)).expect("valid JSON report");
+    let migrations = match v.get("migrations") {
+        Some(serde::Value::Seq(items)) => items,
+        other => panic!("migrations missing: {other:?}"),
+    };
+    assert_eq!(migrations.len(), 2);
+    for m in migrations {
+        assert_eq!(
+            m.get("completed"),
+            Some(&serde::Value::Bool(false)),
+            "{m:?}"
+        );
+        assert_ne!(
+            m.get("status"),
+            Some(&serde::Value::Str("Completed".into())),
+            "{m:?}"
+        );
+    }
+}
+
+#[test]
 fn run_progress_prints_lifecycle() {
     let scenario = repo_root().join("scenarios/demo.toml");
     let out = lsm(&["run", scenario.to_str().unwrap(), "--progress"]);

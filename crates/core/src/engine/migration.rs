@@ -13,7 +13,7 @@ use lsm_blockdev::{ChunkId, ChunkSet};
 use lsm_hypervisor::{MemoryProfile, NextStep, PostcopyMemory, PostcopyStep, PrecopyMemory};
 use lsm_netsim::TrafficTag;
 use lsm_simcore::time::SimDuration;
-use std::collections::HashMap;
+use lsm_simcore::IdMap;
 
 /// Poll interval while a stop-and-copy waits on storage convergence.
 const LINGER_POLL: SimDuration = SimDuration::from_millis(100);
@@ -196,7 +196,7 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
         push_slots_busy: 0,
         pull_slots_busy: 0,
         pulls_inflight: 0,
-        pull_waiters: HashMap::new(),
+        pull_waiters: IdMap::default(),
         source_store: None,
         final_chunks: Vec::new(),
         mirror_flows_inflight: 0,

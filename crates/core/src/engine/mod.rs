@@ -38,9 +38,8 @@ use lsm_netsim::{FlowId, FlowNet, NodeId, Topology, TrafficTag};
 use lsm_repo::{PvfsConfig, PvfsFs, RepoConfig, StripedRepo};
 use lsm_simcore::resource::SharedResource;
 use lsm_simcore::time::{SimDuration, SimTime};
-use lsm_simcore::{EventId, EventQueue};
+use lsm_simcore::{EventId, EventQueue, IdMap};
 use lsm_workloads::{Action, ActionToken, WorkloadSpec};
-use std::collections::HashMap;
 use types::*;
 
 /// The simulation engine. Build one per experiment run.
@@ -50,13 +49,13 @@ pub struct Engine {
     queue: EventQueue<Ev>,
     net: FlowNet,
     net_wake: Option<(EventId, SimTime)>,
-    flow_ctx: HashMap<FlowId, FlowCtx>,
+    flow_ctx: IdMap<FlowId, FlowCtx>,
     nodes: Vec<NodeRt>,
     vms: Vec<VmRt>,
     groups: Vec<GroupRt>,
     repo: StripedRepo,
     pvfs: PvfsFs,
-    ops: HashMap<OpId, OpRt>,
+    ops: IdMap<OpId, OpRt>,
     next_op: OpId,
     /// Migration jobs in scheduling order (JobId is the index).
     jobs: Vec<JobRt>,
@@ -109,9 +108,9 @@ impl Engine {
                 disk_wake: None,
                 cache_rd_wake: None,
                 cache_wr_wake: None,
-                disk_ctx: HashMap::new(),
-                cache_rd_ctx: HashMap::new(),
-                cache_wr_ctx: HashMap::new(),
+                disk_ctx: IdMap::default(),
+                cache_rd_ctx: IdMap::default(),
+                cache_wr_ctx: IdMap::default(),
             })
             .collect();
         let repo = StripedRepo::new(RepoConfig::over_nodes(
@@ -130,13 +129,13 @@ impl Engine {
             queue: EventQueue::new(),
             net,
             net_wake: None,
-            flow_ctx: HashMap::new(),
+            flow_ctx: IdMap::default(),
             nodes,
             vms: Vec::new(),
             groups: Vec::new(),
             repo,
             pvfs,
-            ops: HashMap::new(),
+            ops: IdMap::default(),
             next_op: 0,
             jobs: Vec::new(),
             job_events: Vec::new(),
@@ -237,7 +236,7 @@ impl Engine {
             cache,
             store: ChunkStore::new(nchunks),
             dest_store: None,
-            ops: HashMap::new(),
+            ops: IdMap::default(),
             compute: None,
             held_completions: Default::default(),
             group: None,
@@ -709,7 +708,7 @@ impl Engine {
     pub(crate) fn disk_submit(&mut self, node: u32, bytes: u64, ctx: DiskCtx) {
         let now = self.now;
         let n = &mut self.nodes[node as usize];
-        let id = n.disk.submit(now, bytes, None);
+        let id = n.disk.submit(now, bytes);
         n.disk_ctx.insert(id, ctx);
         self.resync_disk(node);
     }
@@ -718,11 +717,11 @@ impl Engine {
         let now = self.now;
         let n = &mut self.nodes[node as usize];
         if read {
-            let id = n.cache_rd.submit(now, bytes, None);
+            let id = n.cache_rd.submit(now, bytes);
             n.cache_rd_ctx.insert(id, CacheCtx { op });
             self.resync_cache_rd(node);
         } else {
-            let id = n.cache_wr.submit(now, bytes, None);
+            let id = n.cache_wr.submit(now, bytes);
             n.cache_wr_ctx.insert(id, CacheCtx { op });
             self.resync_cache_wr(node);
         }

@@ -7,8 +7,9 @@ use lsm_hypervisor::{PrecopyMemory, Vm};
 use lsm_netsim::NodeId;
 use lsm_simcore::resource::{ReqId, SharedResource};
 use lsm_simcore::time::{SimDuration, SimTime};
+use lsm_simcore::IdMap;
 use lsm_workloads::{ActionToken, IoKind, Workload};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 pub(crate) type VmIdx = u32;
 pub(crate) type OpId = u64;
@@ -249,9 +250,9 @@ pub(crate) struct NodeRt {
     pub disk_wake: Option<(lsm_simcore::EventId, SimTime)>,
     pub cache_rd_wake: Option<(lsm_simcore::EventId, SimTime)>,
     pub cache_wr_wake: Option<(lsm_simcore::EventId, SimTime)>,
-    pub disk_ctx: HashMap<ReqId, DiskCtx>,
-    pub cache_rd_ctx: HashMap<ReqId, CacheCtx>,
-    pub cache_wr_ctx: HashMap<ReqId, CacheCtx>,
+    pub disk_ctx: IdMap<ReqId, DiskCtx>,
+    pub cache_rd_ctx: IdMap<ReqId, CacheCtx>,
+    pub cache_wr_ctx: IdMap<ReqId, CacheCtx>,
 }
 
 /// Virtual-progress compute timer (stretchable by pause / CPU steal).
@@ -326,7 +327,7 @@ pub(crate) struct MigrationRt {
     /// memory flush lands.
     pub final_chunks: Vec<ChunkId>,
     /// Reads waiting for a specific chunk to be pulled.
-    pub pull_waiters: HashMap<ChunkId, Vec<OpId>>,
+    pub pull_waiters: IdMap<ChunkId, Vec<OpId>>,
     /// Synchronous mirror flows currently in flight (mirror gating).
     pub mirror_flows_inflight: u32,
     /// Whether TRANSFER_IO_CONTROL has been sent (guards re-handoff).
@@ -431,7 +432,7 @@ pub(crate) struct VmRt {
     /// Physical chunk store building up at a migration destination.
     pub dest_store: Option<lsm_blockdev::ChunkStore>,
     /// Outstanding ops by token.
-    pub ops: HashMap<ActionToken, OpId>,
+    pub ops: IdMap<ActionToken, OpId>,
     /// Current compute burst (at most one per VM).
     pub compute: Option<ComputeRt>,
     /// Completions held while the VM is paused.

@@ -4,10 +4,15 @@
 //! sequence number is assigned at scheduling time. Two events scheduled for
 //! the same instant therefore fire in scheduling order, which makes whole
 //! simulations reproducible bit-for-bit.
+//!
+//! Cancellation state is an [`IdMap`] keyed by sequence number: the
+//! engine schedules, pops and cancels on every event, and the integer
+//! hasher makes each of those lookups a multiply instead of a SipHash.
 
+use crate::idmap::IdMap;
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Handle to a scheduled event, usable for cancellation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -47,7 +52,7 @@ impl<E: Eq> PartialOrd for Slot<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Slot<E>>>,
     /// One entry per heap slot: `true` once cancelled.
-    pending: HashMap<u64, bool>,
+    pending: IdMap<u64, bool>,
     next_seq: u64,
     scheduled: u64,
     fired: u64,
@@ -64,7 +69,7 @@ impl<E: Eq> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             next_seq: 0,
             scheduled: 0,
             fired: 0,

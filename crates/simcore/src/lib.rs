@@ -7,9 +7,11 @@
 //!   integer-based so event ordering is exactly reproducible.
 //! * [`EventQueue`] — a cancellable priority queue of timestamped events with
 //!   stable FIFO tie-breaking for events scheduled at the same instant.
-//! * [`SharedResource`] — a fluid-model processor (disk, memory bus, …) whose
-//!   capacity is max–min fair-shared among outstanding requests. The network
+//! * [`SharedResource`] — a fluid-model processor (disk, page cache, …) whose
+//!   capacity is shared equally among outstanding requests. The network
 //!   crate generalizes the same idea to multiple coupled resources.
+//! * [`IdMap`] — a `HashMap` with a cheap deterministic integer hasher for
+//!   the simulator's id-keyed maps.
 //! * [`DetRng`] — a small, seedable RNG wrapper so every simulation run is a
 //!   pure function of its configuration.
 //! * [`units`] — byte/bandwidth constants and conversion helpers.
@@ -34,6 +36,7 @@
 
 pub mod event;
 pub mod fault;
+pub mod idmap;
 pub mod resource;
 pub mod rng;
 pub mod time;
@@ -41,6 +44,7 @@ pub mod units;
 
 pub use event::{EventId, EventQueue};
 pub use fault::FaultKind;
+pub use idmap::IdMap;
 pub use resource::{ReqId, SharedResource};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

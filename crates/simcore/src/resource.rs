@@ -1,10 +1,10 @@
-//! A fluid-model shared resource with max–min fair capacity sharing.
+//! A fluid-model shared resource with equal capacity sharing.
 //!
-//! [`SharedResource`] models a single bottleneck (a local disk, a memory
-//! bus) serving several outstanding byte-counted requests at once. Capacity
-//! is divided **max–min fairly**: every request gets an equal share unless
-//! its own rate cap is lower, in which case the surplus is redistributed to
-//! the others (progressive filling).
+//! [`SharedResource`] models a single bottleneck (a local disk, a page
+//! cache) serving several outstanding byte-counted requests at once.
+//! Capacity is divided equally: with `n` requests outstanding, each runs
+//! at `capacity / n` (the max–min fair share when no request has a rate
+//! cap of its own, which none in this simulator has).
 //!
 //! The model is *incremental*: the embedding event loop calls
 //! [`SharedResource::submit`] / [`SharedResource::cancel`] /
@@ -13,12 +13,24 @@
 //! schedule. Between boundaries rates are constant, so progress integration
 //! is exact (no fixed time-stepping).
 //!
+//! # Costs
+//!
+//! A lane holds a handful of requests (about three on a 256-node fleet),
+//! so what matters is constant overhead, not asymptotics. Requests live in
+//! a `Vec` kept in [`ReqId`] order: ids only grow, so `submit` is a push
+//! and `complete`/`cancel` a binary search plus `remove`. Every mutation
+//! re-integrates progress and re-shares capacity in one allocation-free
+//! pass, O(n). Each request caches its finish time whenever its remaining
+//! bytes, its rate or the integration clock change, so
+//! [`SharedResource::next_completion`] is a compare-only scan with no
+//! division. Finish times saturate at [`SimTime::FAR_FUTURE`], so a lane
+//! too slow to ever finish a request never schedules it.
+//!
 //! The multi-resource generalization (flows coupling NIC-up, NIC-down and a
 //! switch) lives in `lsm-netsim`; this single-resource version is what disks
 //! and page caches use.
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Handle to an outstanding request on a [`SharedResource`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -26,16 +38,20 @@ pub struct ReqId(pub u64);
 
 #[derive(Debug, Clone)]
 struct Req {
+    id: ReqId,
     remaining: f64,
     rate: f64,
-    cap: Option<f64>,
+    /// `finish_time(last_advance, remaining, rate)`, refreshed whenever
+    /// any of the three changes.
+    finish: SimTime,
 }
 
 /// A single fair-shared resource (see module docs).
 #[derive(Debug)]
 pub struct SharedResource {
     capacity: f64,
-    reqs: BTreeMap<ReqId, Req>,
+    /// Outstanding requests, ascending by id.
+    reqs: Vec<Req>,
     next_id: u64,
     last_advance: SimTime,
     total_served: f64,
@@ -46,12 +62,12 @@ impl SharedResource {
     /// Create a resource with `capacity` bytes/second.
     ///
     /// `f64::INFINITY` is allowed and models a resource that is never the
-    /// bottleneck (requests then run at their caps, or complete instantly).
+    /// bottleneck (requests then complete instantly).
     pub fn new(capacity: f64) -> Self {
         assert!(capacity > 0.0, "resource capacity must be positive");
         SharedResource {
             capacity,
-            reqs: BTreeMap::new(),
+            reqs: Vec::new(),
             next_id: 0,
             last_advance: SimTime::ZERO,
             total_served: 0.0,
@@ -79,20 +95,17 @@ impl SharedResource {
         self.busy
     }
 
-    /// Submit a request for `bytes`, optionally rate-capped at
-    /// `cap` bytes/second. Returns its handle.
-    pub fn submit(&mut self, now: SimTime, bytes: u64, cap: Option<f64>) -> ReqId {
-        self.advance(now);
+    /// Submit a request for `bytes`. Returns its handle.
+    pub fn submit(&mut self, now: SimTime, bytes: u64) -> ReqId {
+        self.integrate(now);
         let id = ReqId(self.next_id);
         self.next_id += 1;
-        self.reqs.insert(
+        self.reqs.push(Req {
             id,
-            Req {
-                remaining: bytes as f64,
-                rate: 0.0,
-                cap,
-            },
-        );
+            remaining: bytes as f64,
+            rate: 0.0,
+            finish: SimTime::FAR_FUTURE,
+        });
         self.recompute();
         id
     }
@@ -100,8 +113,12 @@ impl SharedResource {
     /// Cancel an outstanding request, returning the bytes it had left
     /// (rounded up). Unknown ids return `None`.
     pub fn cancel(&mut self, now: SimTime, id: ReqId) -> Option<u64> {
-        self.advance(now);
-        let req = self.reqs.remove(&id)?;
+        let Some(pos) = self.position(id) else {
+            self.advance(now);
+            return None;
+        };
+        self.integrate(now);
+        let req = self.reqs.remove(pos);
         self.recompute();
         Some(req.remaining.ceil().max(0.0) as u64)
     }
@@ -110,8 +127,9 @@ impl SharedResource {
     /// time previously returned by [`Self::next_completion`] for this id;
     /// debug builds assert the request had (numerically) finished.
     pub fn complete(&mut self, now: SimTime, id: ReqId) {
-        self.advance(now);
-        let req = self.reqs.remove(&id).expect("completing unknown request");
+        let pos = self.position(id).expect("completing unknown request");
+        self.integrate(now);
+        let req = self.reqs.remove(pos);
         debug_assert!(
             req.remaining < 1.0,
             "request completed with {} bytes left",
@@ -124,18 +142,10 @@ impl SharedResource {
     /// when idle. Deterministic: ties resolve to the lowest id.
     pub fn next_completion(&self) -> Option<(SimTime, ReqId)> {
         let mut best: Option<(SimTime, ReqId)> = None;
-        for (&id, req) in &self.reqs {
-            let t = if req.remaining <= 0.5 {
-                self.last_advance
-            } else if req.rate <= 0.0 {
-                SimTime::FAR_FUTURE
-            } else {
-                self.last_advance + SimDuration::from_secs_f64(req.remaining / req.rate)
-            };
+        for req in &self.reqs {
             match best {
-                None => best = Some((t, id)),
-                Some((bt, _)) if t < bt => best = Some((t, id)),
-                _ => {}
+                Some((bt, _)) if req.finish >= bt => {}
+                _ => best = Some((req.finish, req.id)),
             }
         }
         best
@@ -144,72 +154,80 @@ impl SharedResource {
     /// Integrate progress up to `now` using the rates fixed at the last
     /// mutation. Idempotent for repeated calls with the same `now`.
     pub fn advance(&mut self, now: SimTime) {
+        if self.integrate(now) {
+            let from = self.last_advance;
+            for req in &mut self.reqs {
+                req.finish = finish_time(from, req.remaining, req.rate);
+            }
+        }
+    }
+
+    /// Serve every request at its current rate from `last_advance` to
+    /// `now`, leaving cached finish times stale. Returns whether the clock
+    /// moved; the caller refreshes finish times.
+    fn integrate(&mut self, now: SimTime) -> bool {
         debug_assert!(now >= self.last_advance, "resource time went backwards");
-        let dt = now.since(self.last_advance).as_secs_f64();
+        let elapsed = now.since(self.last_advance);
+        let dt = elapsed.as_secs_f64();
         if dt > 0.0 {
             if !self.reqs.is_empty() {
-                self.busy += now.since(self.last_advance);
+                self.busy += elapsed;
             }
-            for req in self.reqs.values_mut() {
+            for req in &mut self.reqs {
                 let served = (req.rate * dt).min(req.remaining);
                 req.remaining -= served;
                 self.total_served += served;
             }
         }
+        let moved = now != self.last_advance;
         self.last_advance = now;
+        moved
     }
 
-    /// Progressive-filling max–min fair allocation over one resource with
-    /// per-request caps.
+    /// Equal sharing: every request runs at `capacity / n`. Refreshes
+    /// every cached finish time.
     fn recompute(&mut self) {
         let n = self.reqs.len();
         if n == 0 {
             return;
         }
-        if self.capacity.is_infinite() {
-            for req in self.reqs.values_mut() {
-                req.rate = req.cap.unwrap_or(f64::INFINITY);
-            }
-            return;
+        let share = self.capacity / n as f64;
+        let from = self.last_advance;
+        for req in &mut self.reqs {
+            req.rate = share;
+            req.finish = finish_time(from, req.remaining, share);
         }
-        let mut remaining_cap = self.capacity;
-        let mut unfixed: Vec<ReqId> = self.reqs.keys().copied().collect();
-        loop {
-            if unfixed.is_empty() {
-                break;
-            }
-            let share = remaining_cap / unfixed.len() as f64;
-            let mut progressed = false;
-            unfixed.retain(|id| {
-                let req = self.reqs.get_mut(id).expect("unfixed req exists");
-                match req.cap {
-                    Some(c) if c <= share => {
-                        req.rate = c;
-                        remaining_cap -= c;
-                        progressed = true;
-                        false
-                    }
-                    _ => true,
-                }
-            });
-            if !progressed {
-                for id in &unfixed {
-                    self.reqs.get_mut(id).expect("req").rate = share;
-                }
-                break;
-            }
-        }
+    }
+
+    fn position(&self, id: ReqId) -> Option<usize> {
+        self.reqs.binary_search_by_key(&id, |r| r.id).ok()
     }
 
     /// Current service rate of a request (bytes/second), if outstanding.
     pub fn rate_of(&self, id: ReqId) -> Option<f64> {
-        self.reqs.get(&id).map(|r| r.rate)
+        self.position(id).map(|i| self.reqs[i].rate)
     }
 
     /// Bytes remaining for a request, if outstanding.
     pub fn remaining_of(&self, id: ReqId) -> Option<u64> {
-        self.reqs.get(&id).map(|r| r.remaining.ceil() as u64)
+        self.position(id)
+            .map(|i| self.reqs[i].remaining.ceil() as u64)
     }
+}
+
+/// When a request with `remaining` bytes at `rate` finishes, measured from
+/// `from`. Sub-half-byte residue counts as done; a transfer too slow to end
+/// before [`SimTime::FAR_FUTURE`] (including a rate that underflowed to
+/// zero) saturates to it.
+fn finish_time(from: SimTime, remaining: f64, rate: f64) -> SimTime {
+    if remaining <= 0.5 {
+        return from;
+    }
+    let secs = remaining / rate;
+    if !secs.is_finite() {
+        return SimTime::FAR_FUTURE;
+    }
+    from.saturating_add(SimDuration::from_secs_f64(secs))
 }
 
 #[cfg(test)]
@@ -224,7 +242,7 @@ mod tests {
     #[test]
     fn single_request_gets_full_capacity() {
         let mut r = SharedResource::new(mb_per_s(100.0));
-        let id = r.submit(SimTime::ZERO, 100 * MIB, None);
+        let id = r.submit(SimTime::ZERO, 100 * MIB);
         let (done, got) = r.next_completion().unwrap();
         assert_eq!(got, id);
         assert!((done.as_secs_f64() - 1.0).abs() < 1e-6);
@@ -233,28 +251,34 @@ mod tests {
     #[test]
     fn two_requests_share_equally() {
         let mut r = SharedResource::new(mb_per_s(100.0));
-        let a = r.submit(SimTime::ZERO, 100 * MIB, None);
-        let _b = r.submit(SimTime::ZERO, 100 * MIB, None);
+        let a = r.submit(SimTime::ZERO, 100 * MIB);
+        let _b = r.submit(SimTime::ZERO, 100 * MIB);
         assert!((r.rate_of(a).unwrap() - mb_per_s(50.0)).abs() < 1.0);
         let (done, _) = r.next_completion().unwrap();
         assert!((done.as_secs_f64() - 2.0).abs() < 1e-6);
     }
 
     #[test]
-    fn cap_redistributes_surplus() {
-        let mut r = SharedResource::new(mb_per_s(100.0));
-        let capped = r.submit(SimTime::ZERO, 100 * MIB, Some(mb_per_s(10.0)));
-        let free = r.submit(SimTime::ZERO, 100 * MIB, None);
-        assert!((r.rate_of(capped).unwrap() - mb_per_s(10.0)).abs() < 1.0);
-        assert!((r.rate_of(free).unwrap() - mb_per_s(90.0)).abs() < 1.0);
+    fn share_rebalances_on_every_change() {
+        let mut r = SharedResource::new(mb_per_s(90.0));
+        let a = r.submit(SimTime::ZERO, 100 * MIB);
+        let b = r.submit(SimTime::ZERO, 100 * MIB);
+        let c = r.submit(SimTime::ZERO, 100 * MIB);
+        for id in [a, b, c] {
+            assert_eq!(r.rate_of(id), Some(mb_per_s(90.0) / 3.0));
+        }
+        r.cancel(t(0.1), b);
+        assert_eq!(r.rate_of(b), None);
+        assert_eq!(r.rate_of(a), Some(mb_per_s(90.0) / 2.0));
+        assert_eq!(r.rate_of(c), Some(mb_per_s(90.0) / 2.0));
     }
 
     #[test]
     fn progress_integrates_across_mutations() {
         let mut r = SharedResource::new(mb_per_s(100.0));
-        let a = r.submit(SimTime::ZERO, 100 * MIB, None);
+        let a = r.submit(SimTime::ZERO, 100 * MIB);
         // After 0.5s alone, a has 50 MiB left; then b arrives.
-        let _b = r.submit(t(0.5), 100 * MIB, None);
+        let _b = r.submit(t(0.5), 100 * MIB);
         assert_eq!(r.remaining_of(a).unwrap() / MIB, 50);
         // Now both at 50 MB/s: a finishes at 0.5 + 1.0 = 1.5s.
         let (done, id) = r.next_completion().unwrap();
@@ -265,8 +289,8 @@ mod tests {
     #[test]
     fn completion_then_speedup() {
         let mut r = SharedResource::new(mb_per_s(100.0));
-        let a = r.submit(SimTime::ZERO, 50 * MIB, None);
-        let b = r.submit(SimTime::ZERO, 100 * MIB, None);
+        let a = r.submit(SimTime::ZERO, 50 * MIB);
+        let b = r.submit(SimTime::ZERO, 100 * MIB);
         let (ta, ia) = r.next_completion().unwrap();
         assert_eq!(ia, a);
         r.complete(ta, a);
@@ -282,28 +306,30 @@ mod tests {
     #[test]
     fn cancel_returns_remaining() {
         let mut r = SharedResource::new(mb_per_s(100.0));
-        let a = r.submit(SimTime::ZERO, 100 * MIB, None);
+        let a = r.submit(SimTime::ZERO, 100 * MIB);
         let left = r.cancel(t(0.25), a).unwrap();
         assert_eq!(left / MIB, 75);
         assert!(r.next_completion().is_none());
     }
 
     #[test]
-    fn infinite_capacity_completes_at_cap_or_instantly() {
+    fn infinite_capacity_completes_instantly() {
         let mut r = SharedResource::new(f64::INFINITY);
-        let capped = r.submit(SimTime::ZERO, 100 * MIB, Some(mb_per_s(100.0)));
-        assert!((r.rate_of(capped).unwrap() - mb_per_s(100.0)).abs() < 1.0);
-        let free = r.submit(SimTime::ZERO, 100 * MIB, None);
-        let (tf, _) = r.next_completion().unwrap();
-        // The uncapped request finishes "now".
-        assert_eq!(tf, SimTime::ZERO);
-        let _ = free;
+        let a = r.submit(t(2.0), 100 * MIB);
+        assert_eq!(r.rate_of(a), Some(f64::INFINITY));
+        let b = r.submit(t(2.0), 100 * MIB);
+        // Both requests finish "now"; the tie goes to the lower id.
+        assert_eq!(r.next_completion(), Some((t(2.0), a)));
+        // Any elapsed time at all serves them in full.
+        r.advance(t(2.0) + SimDuration::from_nanos(1));
+        assert_eq!(r.remaining_of(a), Some(0));
+        assert_eq!(r.remaining_of(b), Some(0));
     }
 
     #[test]
     fn zero_byte_request_completes_immediately() {
         let mut r = SharedResource::new(mb_per_s(10.0));
-        let id = r.submit(t(3.0), 0, None);
+        let id = r.submit(t(3.0), 0);
         let (done, got) = r.next_completion().unwrap();
         assert_eq!((done, got), (t(3.0), id));
     }
@@ -311,7 +337,7 @@ mod tests {
     #[test]
     fn busy_time_accounts_only_active_periods() {
         let mut r = SharedResource::new(mb_per_s(100.0));
-        let a = r.submit(t(1.0), 100 * MIB, None);
+        let a = r.submit(t(1.0), 100 * MIB);
         let (done, _) = r.next_completion().unwrap();
         r.complete(done, a);
         r.advance(t(10.0));
@@ -321,8 +347,8 @@ mod tests {
     #[test]
     fn ties_resolve_to_lowest_id() {
         let mut r = SharedResource::new(mb_per_s(100.0));
-        let a = r.submit(SimTime::ZERO, 50 * MIB, None);
-        let b = r.submit(SimTime::ZERO, 50 * MIB, None);
+        let a = r.submit(SimTime::ZERO, 50 * MIB);
+        let b = r.submit(SimTime::ZERO, 50 * MIB);
         let (_, id) = r.next_completion().unwrap();
         assert_eq!(id, a);
         let _ = b;
@@ -331,12 +357,27 @@ mod tests {
     #[test]
     fn total_served_conserved() {
         let mut r = SharedResource::new(mb_per_s(100.0));
-        let a = r.submit(SimTime::ZERO, 30 * MIB, None);
-        let b = r.submit(SimTime::ZERO, 70 * MIB, None);
+        let a = r.submit(SimTime::ZERO, 30 * MIB);
+        let b = r.submit(SimTime::ZERO, 70 * MIB);
         let (ta, _) = r.next_completion().unwrap();
         r.complete(ta, a);
         let (tb, _) = r.next_completion().unwrap();
         r.complete(tb, b);
         assert_eq!(r.total_served() / MIB, 100);
+    }
+
+    #[test]
+    fn tiny_rate_never_finishes_instead_of_overflowing() {
+        // 1 GiB at 1e-6 B/s takes ~1e15 s, far past u64 nanoseconds: the
+        // finish time must saturate rather than wrap to "already done".
+        let mut r = SharedResource::new(1e-6);
+        let id = r.submit(t(1.0), 1 << 30);
+        assert_eq!(r.next_completion(), Some((SimTime::FAR_FUTURE, id)));
+        r.advance(t(5.0));
+        assert_eq!(r.next_completion(), Some((SimTime::FAR_FUTURE, id)));
+        let other = r.submit(t(6.0), 1 << 30);
+        assert_eq!(r.next_completion(), Some((SimTime::FAR_FUTURE, id)));
+        assert_eq!(r.cancel(t(7.0), id), Some(1 << 30));
+        assert_eq!(r.next_completion(), Some((SimTime::FAR_FUTURE, other)));
     }
 }

@@ -1,40 +1,80 @@
 //! Property tests for the DES kernel.
 
-use lsm_simcore::{DetRng, EventQueue, SharedResource, SimDuration, SimTime};
+use lsm_simcore::{DetRng, EventId, EventQueue, SharedResource, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 proptest! {
     /// Events always pop in (time, insertion) order, whatever the
-    /// scheduling order and cancellations.
+    /// scheduling order, cancellations and interleaved pops and peeks.
+    /// A model heap of `(time, seq) → cancelled?` entries predicts every
+    /// pop, every peek, every cancel's verdict (fired, already-cancelled
+    /// and never-heaped ids are no-ops) and the exact tombstone count.
     #[test]
     fn event_queue_total_order(
-        ops in prop::collection::vec((0u64..1_000_000, prop::bool::ANY), 1..200)
+        ops in prop::collection::vec((0u8..8, 0u64..1_000_000, 0u64..u64::MAX), 1..300)
     ) {
         let mut q = EventQueue::new();
-        let mut ids = Vec::new();
-        let mut live = Vec::new();
-        for (i, &(at, cancel_prev)) in ops.iter().enumerate() {
-            let id = q.schedule(SimTime::from_nanos(at), i);
-            ids.push((id, at, i));
-            live.push(true);
-            if cancel_prev && i > 0 && live[i - 1] {
-                q.cancel(ids[i - 1].0);
-                live[i - 1] = false;
+        // Model: entries still in the heap, with their cancelled flag.
+        let mut heap: BTreeMap<(u64, usize), bool> = BTreeMap::new();
+        // Every id ever issued, with its (time, seq) if it was heaped.
+        let mut ids: Vec<(EventId, Option<(u64, usize)>)> = Vec::new();
+        for &(kind, at, sel) in &ops {
+            match kind {
+                0..=2 => {
+                    let seq = ids.len();
+                    let id = q.schedule(SimTime::from_nanos(at), seq);
+                    heap.insert((at, seq), false);
+                    ids.push((id, Some((at, seq))));
+                }
+                3 => {
+                    let id = q.schedule(SimTime::FAR_FUTURE, ids.len());
+                    ids.push((id, None));
+                }
+                4 | 5 => {
+                    if ids.is_empty() {
+                        continue;
+                    }
+                    let (id, key) = ids[(sel % ids.len() as u64) as usize];
+                    let expect = match key.and_then(|k| heap.get_mut(&k)) {
+                        Some(c @ false) => {
+                            *c = true;
+                            true
+                        }
+                        _ => false,
+                    };
+                    prop_assert_eq!(q.cancel(id), expect);
+                }
+                6 => {
+                    while let Some((&k, _)) = heap.iter().next().filter(|(_, &c)| c) {
+                        heap.remove(&k);
+                    }
+                    let expect = heap.keys().next().map(|&(at, _)| SimTime::from_nanos(at));
+                    prop_assert_eq!(q.peek_time(), expect);
+                }
+                _ => {
+                    let mut expect = None;
+                    while let Some(((at, seq), cancelled)) = heap.pop_first() {
+                        if !cancelled {
+                            expect = Some((SimTime::from_nanos(at), seq));
+                            break;
+                        }
+                    }
+                    prop_assert_eq!(q.pop(), expect);
+                }
             }
+            prop_assert_eq!(q.tombstones(), heap.values().filter(|&&c| c).count());
+            prop_assert_eq!(q.len(), heap.len());
         }
         let mut popped = Vec::new();
         while let Some((t, payload)) = q.pop() {
             popped.push((t.as_nanos(), payload));
         }
-        // Expected: all live events ordered by (time, insertion seq).
-        let mut expected: Vec<(u64, usize)> = ids
-            .iter()
-            .zip(&live)
-            .filter(|(_, &l)| l)
-            .map(|(&(_, at, i), _)| (at, i))
-            .collect();
-        expected.sort();
+        let expected: Vec<(u64, usize)> =
+            heap.into_iter().filter(|&(_, c)| !c).map(|(k, _)| k).collect();
         prop_assert_eq!(popped, expected);
+        prop_assert_eq!(q.tombstones(), 0);
+        prop_assert!(q.is_empty());
     }
 
     /// A fair-shared resource conserves bytes: total served equals the
@@ -52,7 +92,7 @@ proptest! {
         let mut cancelled_served = 0u64;
         let mut live = Vec::new();
         for (i, &mb) in sizes.iter().enumerate() {
-            let id = r.submit(now, mb * MB, None);
+            let id = r.submit(now, mb * MB);
             live.push((id, mb * MB));
             now += SimDuration::from_millis(10);
             r.advance(now);
@@ -85,8 +125,8 @@ proptest! {
     fn larger_requests_finish_later(a in 1u64..1000, b in 1u64..1000) {
         prop_assume!(a != b);
         let mut r = SharedResource::new(1e6);
-        let ia = r.submit(SimTime::ZERO, a * 1000, None);
-        let ib = r.submit(SimTime::ZERO, b * 1000, None);
+        let ia = r.submit(SimTime::ZERO, a * 1000);
+        let ib = r.submit(SimTime::ZERO, b * 1000);
         let (t1, first) = r.next_completion().expect("two live requests");
         let smaller = if a < b { ia } else { ib };
         prop_assert_eq!(first, smaller);
