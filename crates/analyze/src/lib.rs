@@ -42,6 +42,7 @@ use lsm_core::policy::StrategyKind;
 use lsm_core::FaultKind;
 use lsm_experiments::scenario::ScenarioSpec;
 use lsm_experiments::shard;
+use lsm_simcore::time::{SimTime, TimeError};
 use std::collections::BTreeMap;
 
 /// Analyze a scenario and return every diagnostic, errors first.
@@ -78,8 +79,10 @@ fn rank(diags: &mut [Diag]) {
     diags.sort_by_key(|d| std::cmp::Reverse(d.severity));
 }
 
-fn bad_time(v: f64) -> bool {
-    !(v.is_finite() && v >= 0.0)
+/// Why `secs` is not a simulated instant, if it is not (the check
+/// `build_scenario` applies to every spec time).
+fn bad_time(secs: f64) -> Option<TimeError> {
+    SimTime::try_from_secs_f64(secs).err()
 }
 
 fn mib(bytes: f64) -> f64 {
@@ -96,14 +99,11 @@ fn structural(spec: &ScenarioSpec, out: &mut Vec<Diag>) {
     let push = |out: &mut Vec<Diag>, span, msg: String| {
         out.push(Diag::new(DiagCode::InvalidSpec, span, msg));
     };
-    if bad_time(spec.horizon_secs) {
+    if let Some(why) = bad_time(spec.horizon_secs) {
         push(
             out,
             Span::Scenario,
-            format!(
-                "horizon_secs must be finite and non-negative, got {}",
-                spec.horizon_secs
-            ),
+            format!("horizon_secs {} is {why}", spec.horizon_secs),
         );
     }
     let cluster = spec.cluster_config();
@@ -152,15 +152,9 @@ fn structural(spec: &ScenarioSpec, out: &mut Vec<Diag>) {
                 ),
             );
         }
-        if bad_time(v.start_secs.unwrap_or(0.0)) {
-            push(
-                out,
-                Span::Vm(i),
-                format!(
-                    "start_secs must be finite and non-negative, got {}",
-                    v.start_secs.unwrap_or(0.0)
-                ),
-            );
+        let start = v.start_secs.unwrap_or(0.0);
+        if let Some(why) = bad_time(start) {
+            push(out, Span::Vm(i), format!("start_secs {start} is {why}"));
         }
     }
     for (j, m) in spec.migrations.iter().enumerate() {
@@ -182,29 +176,29 @@ fn structural(spec: &ScenarioSpec, out: &mut Vec<Diag>) {
                 format!("destination node {} out of 0..{}", m.dest, cluster.nodes),
             );
         }
-        if bad_time(m.at_secs) {
+        if let Some(why) = bad_time(m.at_secs) {
             push(
                 out,
                 Span::Migration(j),
-                format!("at_secs must be finite and non-negative, got {}", m.at_secs),
+                format!("at_secs {} is {why}", m.at_secs),
             );
         }
         if let Some(d) = m.deadline_secs {
-            if bad_time(d) {
+            if let Some(why) = bad_time(d) {
                 push(
                     out,
                     Span::Migration(j),
-                    format!("deadline_secs must be finite and non-negative, got {d}"),
+                    format!("deadline_secs {d} is {why}"),
                 );
             }
         }
     }
     for (k, f) in spec.fault_plan().iter().enumerate() {
-        if bad_time(f.at_secs) {
+        if let Some(why) = bad_time(f.at_secs) {
             push(
                 out,
                 Span::Fault(k),
-                format!("at_secs must be finite and non-negative, got {}", f.at_secs),
+                format!("at_secs {} is {why}", f.at_secs),
             );
         }
         match f.kind {
@@ -243,7 +237,7 @@ fn structural(spec: &ScenarioSpec, out: &mut Vec<Diag>) {
                         format!("names vm {}, but only {} are declared", vm, spec.vms.len()),
                     );
                 }
-                if bad_time(secs) {
+                if !(secs.is_finite() && secs >= 0.0) {
                     push(
                         out,
                         Span::Fault(k),
@@ -265,20 +259,20 @@ fn structural(spec: &ScenarioSpec, out: &mut Vec<Diag>) {
                 ),
             );
         }
-        if bad_time(c.at_secs) {
+        if let Some(why) = bad_time(c.at_secs) {
             push(
                 out,
                 Span::Cancellation(k),
-                format!("at_secs must be finite and non-negative, got {}", c.at_secs),
+                format!("at_secs {} is {why}", c.at_secs),
             );
         }
     }
     for (k, r) in spec.request_plan().iter().enumerate() {
-        if bad_time(r.at_secs) {
+        if let Some(why) = bad_time(r.at_secs) {
             push(
                 out,
                 Span::Request(k),
-                format!("at_secs must be finite and non-negative, got {}", r.at_secs),
+                format!("at_secs {} is {why}", r.at_secs),
             );
         }
         if let lsm_core::planner::RequestIntent::Evacuate { node } = r.intent {

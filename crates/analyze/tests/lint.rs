@@ -6,10 +6,11 @@
 use lsm_analyze::{fails, has_errors, lint, Diag, DiagCode, Severity};
 use lsm_core::planner::RequestIntent;
 use lsm_core::{
-    AutonomicConfig, FailureReason, FaultKind, OrchestratorConfig, QosConfig, ResilienceConfig,
-    StrategyKind,
+    AutonomicConfig, EngineError, FailureReason, FaultKind, OrchestratorConfig, QosConfig,
+    ResilienceConfig, StrategyKind,
 };
 use lsm_experiments::scenario::{run_scenario, MigrationSpec, ScenarioSpec, VmSpec};
+use lsm_simcore::time::TimeError;
 use lsm_simcore::units::{GIB, MIB};
 use lsm_workloads::WorkloadSpec;
 
@@ -99,6 +100,45 @@ fn l000_collects_every_structural_error() {
     // Structural errors short-circuit the deeper analyses.
     assert!(diags.iter().all(|d| d.code == DiagCode::InvalidSpec));
     assert!(has_errors(&diags));
+}
+
+/// Spec times the engine cannot represent are `L000` errors, and the
+/// engine rejects the same spec with the same typed reason — before
+/// this, `horizon_secs = 1e12` silently ran to 18446744073.7 s.
+#[test]
+fn l000_rejects_times_that_are_not_simulated_instants() {
+    for (value, reason, words) in [
+        (f64::NAN, TimeError::NonFinite, "not a finite number"),
+        (-1.0, TimeError::Negative, "negative"),
+        (1e12, TimeError::TooLarge, "2^64 ns"),
+    ] {
+        let horizon = clean_spec().with_horizon(value);
+        let fault = clean_spec().with_fault(value, FaultKind::NodeCrash { node: 3 });
+        let migration = {
+            let mut spec = clean_spec();
+            spec.migrations[0].at_secs = value;
+            spec
+        };
+        for (what, spec) in [
+            ("horizon", horizon),
+            ("fault", fault),
+            ("migration", migration),
+        ] {
+            let diags = lint(&spec);
+            assert!(
+                diags
+                    .iter()
+                    .any(|d| d.code == DiagCode::InvalidSpec && d.message.contains(words)),
+                "{what} = {value}: {diags:?}"
+            );
+            match run_scenario(&spec) {
+                Err(EngineError::InvalidTime { reason: r, .. }) => {
+                    assert_eq!(r, reason, "{what} = {value}")
+                }
+                other => panic!("{what} = {value}: engine accepted or misreported: {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]

@@ -614,16 +614,10 @@ fn cmd_run(
     let (report, verdict) = if check {
         // Invariant-audited run: keep the simulation handle so the
         // final full audit can inspect the post-run engine state.
-        if !(spec.horizon_secs.is_finite() && spec.horizon_secs >= 0.0) {
-            return Err(UsageError(format!(
-                "invalid horizon_secs: {}",
-                spec.horizon_secs
-            )));
-        }
-        let mut sim = lsm_experiments::scenario::build_scenario(&spec)
-            .map_err(|e| UsageError(format!("scenario rejected: {e}")))?;
+        let rejected = |e| UsageError(format!("scenario rejected: {e}"));
+        let horizon = lsm_experiments::scenario::horizon(&spec).map_err(rejected)?;
+        let mut sim = lsm_experiments::scenario::build_scenario(&spec).map_err(rejected)?;
         let mut checker = lsm_check::InvariantObserver::new();
-        let horizon = SimTime::from_secs_f64(spec.horizon_secs);
         let report = if progress {
             let mut printer = ProgressPrinter;
             sim.run_observed(horizon, &mut Chain(&mut printer, &mut checker))

@@ -195,6 +195,73 @@ fn run_tiny_disk_never_completes_a_migration() {
 }
 
 #[test]
+fn horizon_past_the_end_of_simulated_time_is_rejected() {
+    // Regression: 1e12 s is past 2^64 ns and used to clamp silently to
+    // "horizon 18446744073.7s". Both engines and the linter reject it.
+    let demo = std::fs::read_to_string(repo_root().join("scenarios/demo.toml")).unwrap();
+    let text = demo.replacen("horizon_secs = 300.0", "horizon_secs = 1e12", 1);
+    assert_ne!(text, demo, "demo.toml sets horizon_secs = 300.0");
+    let path = std::env::temp_dir().join("lsm-cli-test-horizon-1e12.toml");
+    std::fs::write(&path, text).unwrap();
+    let path = path.to_str().unwrap();
+    for threads in ["1", "2"] {
+        for extra in [None, Some("--check")] {
+            let mut args = vec!["run", path, "--threads", threads];
+            args.extend(extra);
+            let out = lsm(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+            assert!(
+                stderr(&out).contains("scenario rejected: invalid horizon timestamp 1000000000000")
+                    && stderr(&out).contains("2^64 ns"),
+                "{args:?}: {}",
+                stderr(&out)
+            );
+        }
+    }
+    let out = lsm(&["lint", path]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(stdout(&out).contains("L000"), "{}", stdout(&out));
+}
+
+#[test]
+fn run_huge_horizon_sharded_finishes_promptly() {
+    // Regression: the sharded runner used to step every shard in 5 s
+    // windows, so a 1e9 s horizon meant ~2·10⁸ barriers and a run that
+    // never ended. One pass per shard finishes in milliseconds; kill the
+    // child and fail rather than hang if that ever regresses.
+    let demo = std::fs::read_to_string(repo_root().join("scenarios/demo.toml")).unwrap();
+    let text = demo.replacen("horizon_secs = 300.0", "horizon_secs = 1e9", 1);
+    assert_ne!(text, demo, "demo.toml sets horizon_secs = 300.0");
+    let path = std::env::temp_dir().join("lsm-cli-test-huge-horizon.toml");
+    std::fs::write(&path, text).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lsm"))
+        .args(["run", path.to_str().unwrap(), "--threads", "2"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("child waits") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("lsm run at horizon 1e9 s on --threads 2 still running after 30 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let err = child.wait_with_output().expect("stderr readable");
+    assert!(status.success(), "stderr: {}", stderr(&err));
+    assert!(
+        stderr(&err).contains("sharded: 2 component(s) on 2 thread(s)"),
+        "the sharded path ran: {}",
+        stderr(&err)
+    );
+}
+
+#[test]
 fn run_progress_prints_lifecycle() {
     let scenario = repo_root().join("scenarios/demo.toml");
     let out = lsm(&["run", scenario.to_str().unwrap(), "--progress"]);

@@ -391,13 +391,14 @@ impl Engine {
 
     /// Process every pending event with time ≤ `until`, delivering
     /// observer callbacks, and return whether the observer stopped the
-    /// run. This is the windowed building block of the sharded runner:
-    /// a shard steps to each window barrier in turn, and a full run is
-    /// one `step_until(horizon)` followed by [`Engine::finish_run`].
+    /// run. A full run is one `step_until(horizon)` followed by
+    /// [`Engine::finish_run`]; the sharded runner does exactly that on
+    /// each shard's worker.
     ///
     /// Unlike a finished run, this does **not** move the clock to
     /// `until` — the clock stays at the last processed event, so a
-    /// later window (or a final `finish_run`) continues seamlessly.
+    /// later `step_until` (or a final `finish_run`) continues
+    /// seamlessly.
     pub fn step_until(&mut self, until: SimTime, obs: &mut dyn Observer) -> RunControl {
         while let Some(t) = self.queue.peek_time() {
             if t > until {

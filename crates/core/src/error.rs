@@ -8,6 +8,7 @@
 //! invariant violations remain `debug_assert`s.
 
 use crate::policy::StrategyKind;
+use lsm_simcore::time::TimeError;
 use std::fmt;
 
 /// Everything that can be wrong about a simulation request.
@@ -93,12 +94,15 @@ pub enum EngineError {
         /// The unrecognized name.
         name: String,
     },
-    /// A timestamp is negative, NaN or infinite.
+    /// A timestamp is not a simulated instant: negative, NaN, infinite
+    /// or past the end of simulated time.
     InvalidTime {
         /// What the timestamp was for.
         what: String,
         /// The offending value, seconds.
         value: f64,
+        /// Why it is not an instant.
+        reason: TimeError,
     },
     /// A fault-plan entry is unusable (out-of-range node or VM, a link
     /// factor outside `(0, 1]`, a non-positive stall duration, ...).
@@ -171,8 +175,12 @@ impl fmt::Display for EngineError {
                         .join(", ")
                 )
             }
-            EngineError::InvalidTime { what, value } => {
-                write!(f, "invalid {what} timestamp: {value}")
+            EngineError::InvalidTime {
+                what,
+                value,
+                reason,
+            } => {
+                write!(f, "invalid {what} timestamp {value}: {reason}")
             }
             EngineError::InvalidFault { reason } => {
                 write!(f, "invalid fault: {reason}")

@@ -1,5 +1,5 @@
-//! The sharded parallel runner: many independent shard engines stepped
-//! in bounded time windows on a worker-thread pool, merged into one
+//! The sharded parallel runner: many independent shard engines, each
+//! run once to the horizon on a worker-thread pool, merged into one
 //! [`RunReport`] that is **bit-identical** to the monolithic engine's.
 //!
 //! # Execution model
@@ -12,39 +12,42 @@
 //! independent: each shard owns its nodes' event sub-queue, guest
 //! compute/dirty-rate updates, and the node-local flow state outright.
 //!
-//! Shards advance in bounded time windows. Within a window every shard
-//! steps its own events with [`Engine::step_until`]; at the window
-//! barrier the runner performs the one *shared* piece of accounting,
-//! the switch aggregate: the summed flow rate across all shards must
-//! fit the fabric's switch capacity (on an admitted fabric it provably
-//! does — the barrier check is the runtime witness of that proof).
+//! Because nothing crosses between shards, nothing needs to meet
+//! mid-run. The runner spawns one scoped pool of workers; each worker
+//! claims the next unclaimed shard, runs it to the horizon and builds
+//! its report ([`Engine::run_until_observed`]), then claims again. The calling thread only waits for the pool, then
+//! merges. The switch aggregate, the one resource shards could share,
+//! is audited once at entry: twice the shards' summed NIC capacity must
+//! fit it (the partitioner's admission rule), which bounds the summed
+//! flow rate at every instant of the run.
 //!
 //! # Determinism
 //!
 //! The shard structure is a pure function of the scenario — never of
-//! the thread count. Threads only *execute* shards: a work-stealing
-//! index hands each shard to whichever worker is free, and since shards
-//! exchange nothing mid-window, execution order cannot influence any
-//! shard's state. Cross-shard outputs meet only in the merge, which
-//! orders every record by global identity and time — migrations and
-//! VMs by their global index, planner decisions by `(decided_at, job)`
-//! (exactly the `(time, sequence)` order the monolithic event loop
-//! admits them in), traffic by integer per-shard counters whose sum is
-//! order-independent. The result: byte-identical serialized reports for
-//! any thread count greater than one. Against the monolithic engine
-//! every output matches except the event count: the monolith serves
-//! same-nanosecond network completions of different components with
-//! one `NetWake`, each shard with its own, so the merged `events` can
-//! be higher by the number of coalesced wakes. The shipped scenarios
-//! never coalesce across components, so for them the monolith's report
-//! is byte-identical too — pinned by `lsm`'s determinism suite at
-//! `--threads 1/2/8` under both solver modes.
+//! the thread count. Threads only *execute* shards, and a shard's run
+//! depends only on its own events, so the order in which workers claim
+//! shards cannot influence any shard's state. Cross-shard outputs meet
+//! only in the merge, which orders every record by global identity and
+//! time — migrations and VMs by their global index, planner decisions
+//! by `(decided_at, job)` (exactly the `(time, sequence)` order the
+//! monolithic event loop admits them in), traffic by integer per-shard
+//! counters whose sum is order-independent. The result: byte-identical
+//! serialized reports for any thread count. Against the monolithic
+//! engine every output matches except the event count: the monolith
+//! serves same-nanosecond network completions of different components
+//! with one `NetWake`, each shard with its own, so the merged `events`
+//! can be higher by the number of coalesced wakes. The shipped
+//! scenarios never coalesce across components, so for them the
+//! monolith's report is byte-identical too — pinned by `lsm`'s
+//! determinism suite at `--threads 1/2/8` under both solver modes,
+//! including a zero horizon (only the t = 0 events run) and a horizon
+//! of 10⁹ s.
 
-use crate::engine::{
-    Engine, MigrationRecord, NullObserver, Observer, RunControl, RunReport, VmRecord,
-};
+use crate::engine::{Engine, MigrationRecord, NullObserver, Observer, RunReport, VmRecord};
 use lsm_netsim::TrafficTag;
-use lsm_simcore::time::{SimDuration, SimTime};
+use lsm_simcore::time::SimTime;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -71,7 +74,8 @@ pub struct FleetShape {
     /// Total migration jobs in the scenario.
     pub jobs: u32,
     /// The fabric's switch aggregate capacity (bytes/second) — the one
-    /// shared resource, audited at every window barrier.
+    /// shared resource, audited against the shards' NIC capacity when
+    /// the run starts.
     pub switch_capacity: f64,
 }
 
@@ -82,7 +86,9 @@ pub struct ParallelOpts {
     /// chooses monolithic vs sharded); values are clamped to the shard
     /// count.
     pub threads: usize,
-    /// Window length in simulated seconds between barriers.
+    /// Unused by the runner, which runs every shard to the horizon in
+    /// one pass. Kept for callers that size their own timing windows
+    /// from the default (5 s).
     pub window_secs: f64,
 }
 
@@ -115,95 +121,77 @@ pub fn run_sharded(
     run_sharded_observed(shards, observers, shape, horizon, opts).0
 }
 
-/// Run every shard to `horizon` in bounded windows on `opts.threads`
-/// workers, with one observer per shard (`observers[i]` watches
-/// `shards[i]` — e.g. a per-shard invariant checker), and merge the
-/// shard reports into the fleet-wide [`RunReport`]. Returns the merged
-/// report and the finished `(shard, observer)` pairs so callers can
-/// audit per-shard state (`lsm run --check` finalizes each checker
-/// against its shard engine).
+/// Run every shard once to `horizon` on `opts.threads` workers, with
+/// one observer per shard (`observers[i]` watches `shards[i]` — e.g. a
+/// per-shard invariant checker), and merge the shard reports into the
+/// fleet-wide [`RunReport`]. Returns the merged report and the finished
+/// `(shard, observer)` pairs so callers can audit per-shard state
+/// (`lsm run --check` finalizes each checker against its shard engine).
 ///
-/// If any observer stops its shard, the remaining shards halt at the
-/// next window barrier and the merged report reflects the partial run.
+/// An observer that returns [`crate::engine::RunControl::Stop`] ends
+/// **its own shard** at that event: the shard's records reflect the
+/// stop instant, exactly as a stopped monolithic run of that component
+/// would. Every other shard still runs to the horizon. A shard's
+/// outcome depends only on its own events, so the merged report is the
+/// same for any thread count.
+///
+/// # Panics
+///
+/// If twice the shards' summed NIC capacity exceeds
+/// `shape.switch_capacity`: the partition is then unsound, because the
+/// shards could contend on the switch aggregate.
 pub fn run_sharded_observed<O: Observer + Send>(
-    mut shards: Vec<Shard>,
+    shards: Vec<Shard>,
     observers: Vec<O>,
     shape: FleetShape,
     horizon: SimTime,
     opts: ParallelOpts,
 ) -> (RunReport, Vec<(Shard, O)>) {
     assert_eq!(shards.len(), observers.len(), "one observer per shard");
-    for s in &mut shards {
-        s.engine.enable_load_log();
-    }
+    // The switch aggregate is the only resource shards could share. On a
+    // fabric whose switch carries at least twice the summed NIC capacity
+    // it can never bind (the partitioner's admission rule), so the
+    // summed flow rate fits it at every instant of the run.
+    let nic_total: f64 = shards
+        .iter()
+        .map(|s| s.engine.config().nodes as f64 * s.engine.config().nic_bw)
+        .sum();
+    assert!(
+        2.0 * nic_total <= shape.switch_capacity * (1.0 + 1e-9),
+        "shards carry {nic_total} B/s of NIC capacity, more than half the \
+         switch aggregate {} B/s — unsound partition",
+        shape.switch_capacity
+    );
     let threads = opts.threads.clamp(1, shards.len().max(1));
-    let window_secs = if opts.window_secs.is_finite() && opts.window_secs > 0.0 {
-        opts.window_secs
-    } else {
-        5.0
-    };
-    // (shard, observer, stopped) per slot; a Mutex per slot lets idle
-    // workers steal whichever shard is next without partitioning.
-    let slots: Vec<Mutex<(Shard, O, bool)>> = shards
+    // A Mutex per slot lets idle workers claim whichever shard is next
+    // without partitioning; each slot is only ever locked by the one
+    // worker that claimed it.
+    let slots: Vec<Mutex<(Shard, O, Option<RunReport>)>> = shards
         .into_iter()
         .zip(observers)
-        .map(|(s, o)| Mutex::new((s, o, false)))
+        .map(|(s, o)| Mutex::new((s, o, None)))
         .collect();
-    let mut windows = 0u64;
-    let mut t_end = SimTime::ZERO;
-    let mut any_stopped = false;
-    while t_end < horizon && !any_stopped {
-        windows += 1;
-        let next = SimTime::ZERO + SimDuration::from_secs_f64(window_secs).mul_f64(windows as f64);
-        t_end = next.min(horizon);
-        if threads == 1 {
-            for slot in &slots {
-                let (shard, obs, stopped) = &mut *slot.lock().expect("shard lock");
-                if !*stopped {
-                    *stopped = shard.engine.step_until(t_end, obs) == RunControl::Stop;
-                }
-            }
-        } else {
-            let claim = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let i = claim.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = slots.get(i) else { break };
-                        let (shard, obs, stopped) = &mut *slot.lock().expect("shard lock");
-                        if !*stopped {
-                            *stopped = shard.engine.step_until(t_end, obs) == RunControl::Stop;
-                        }
-                    });
-                }
+    let claim = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = claim.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else { break };
+                let (shard, obs, report) = &mut *slot.lock().expect("shard lock");
+                shard.engine.enable_load_log();
+                // The report is built here rather than after the pool,
+                // from memory the worker already touched while stepping.
+                *report = Some(shard.engine.run_until_observed(horizon, obs));
             });
         }
-        // Window barrier: the switch aggregate is the only resource
-        // shards share. Sum the live rate every shard is pushing and
-        // hold it against the fabric's switch capacity — on a fabric
-        // the partitioner admitted (switch ≥ 2× summed NIC capacity)
-        // this cannot bind, and a violation means the partition was
-        // unsound, which is a bug worth dying loudly for.
-        let mut switch_load = 0.0f64;
-        for slot in &slots {
-            let (shard, _, stopped) = &*slot.lock().expect("shard lock");
-            switch_load += shard.engine.network().rate_total();
-            any_stopped |= *stopped;
-        }
-        assert!(
-            switch_load <= shape.switch_capacity * (1.0 + 1e-9) + 1.0,
-            "window barrier: summed shard rate {switch_load} B/s exceeds \
-             the switch aggregate {} B/s — unsound partition",
-            shape.switch_capacity
-        );
-    }
-    let mut finished = Vec::with_capacity(slots.len());
-    let mut reports = Vec::with_capacity(slots.len());
-    for slot in slots {
-        let (mut shard, obs, stopped) = slot.into_inner().expect("shard lock");
-        reports.push(shard.engine.finish_run(horizon, stopped));
-        finished.push((shard, obs));
-    }
+    });
+    let (finished, reports): (Vec<_>, Vec<_>) = slots
+        .into_iter()
+        .map(|slot| {
+            let (shard, obs, report) = slot.into_inner().expect("shard lock");
+            ((shard, obs), report.expect("every shard ran"))
+        })
+        .unzip();
     let merged = merge_reports(&finished, &reports, &shape, horizon);
     (merged, finished)
 }
@@ -302,31 +290,35 @@ fn merge_reports<O>(
 }
 
 /// Reconstruct the global concurrent-flow peak from per-shard
-/// changepoint logs: a k-way sweep over `(time, count)` entries, taking
-/// the summed count at the end of every instant at which any shard's
-/// flow set changed. This reproduces the monolithic engine's
-/// end-of-instant sampling exactly — including its blind spot for an
-/// instant coinciding with the horizon, which no later advance samples.
+/// changepoint logs, each sorted by time: a k-way heap merge over
+/// `(time, count)` entries, taking the summed count at the end of every
+/// instant at which any shard's flow set changed. This reproduces the
+/// monolithic engine's end-of-instant sampling exactly — including its
+/// blind spot for an instant coinciding with the horizon, which no
+/// later advance samples. O(E log k) time and O(k) space for E entries
+/// over k logs.
 fn merged_peak(logs: &[&[(SimTime, u32)]], horizon: SimTime) -> usize {
-    let mut idx = vec![0usize; logs.len()];
+    let mut next = vec![0usize; logs.len()];
     let mut cur = vec![0u64; logs.len()];
+    let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> = logs
+        .iter()
+        .enumerate()
+        .filter_map(|(k, log)| log.first().map(|e| Reverse((e.0, k))))
+        .collect();
     let mut total = 0u64;
     let mut peak = 0u64;
-    while let Some(t) = logs
-        .iter()
-        .zip(&idx)
-        .filter_map(|(log, &i)| log.get(i).map(|e| e.0))
-        .min()
-    {
-        for (k, log) in logs.iter().enumerate() {
-            while idx[k] < log.len() && log[idx[k]].0 == t {
-                let n = log[idx[k]].1 as u64;
-                total = total - cur[k] + n;
-                cur[k] = n;
-                idx[k] += 1;
-            }
+    while let Some(Reverse((t, k))) = heap.pop() {
+        let log = logs[k];
+        while let Some(&(_, n)) = log.get(next[k]).filter(|e| e.0 == t) {
+            total = total - cur[k] + n as u64;
+            cur[k] = n as u64;
+            next[k] += 1;
         }
-        if t < horizon {
+        if let Some(e) = log.get(next[k]) {
+            heap.push(Reverse((e.0, k)));
+        }
+        let instant_over = heap.peek().is_none_or(|Reverse((tn, _))| *tn > t);
+        if instant_over && t < horizon {
             peak = peak.max(total);
         }
     }
@@ -336,9 +328,38 @@ fn merged_peak(logs: &[&[(SimTime, u32)]], horizon: SimTime) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)
+    }
+
+    /// The original O(entries × shards) sweep, kept as the oracle: at
+    /// every distinct instant it rescans every log.
+    fn merged_peak_reference(logs: &[&[(SimTime, u32)]], horizon: SimTime) -> usize {
+        let mut idx = vec![0usize; logs.len()];
+        let mut cur = vec![0u64; logs.len()];
+        let mut total = 0u64;
+        let mut peak = 0u64;
+        while let Some(t) = logs
+            .iter()
+            .zip(&idx)
+            .filter_map(|(log, &i)| log.get(i).map(|e| e.0))
+            .min()
+        {
+            for (k, log) in logs.iter().enumerate() {
+                while idx[k] < log.len() && log[idx[k]].0 == t {
+                    let n = log[idx[k]].1 as u64;
+                    total = total - cur[k] + n;
+                    cur[k] = n;
+                    idx[k] += 1;
+                }
+            }
+            if t < horizon {
+                peak = peak.max(total);
+            }
+        }
+        peak as usize
     }
 
     #[test]
@@ -356,5 +377,55 @@ mod tests {
         let a: Vec<(SimTime, u32)> = vec![(t(0.0), 1), (t(10.0), 5)];
         assert_eq!(merged_peak(&[&a], t(10.0)), 1);
         assert_eq!(merged_peak(&[&a], t(11.0)), 5);
+    }
+
+    #[test]
+    fn merged_peak_samples_only_the_end_of_an_instant() {
+        // At t = 5 shard A drops a flow and shard B adds two: the sum
+        // passes through 3 mid-instant but ends at 2.
+        let a: Vec<(SimTime, u32)> = vec![(t(0.0), 1), (t(5.0), 0)];
+        let b: Vec<(SimTime, u32)> = vec![(t(5.0), 2), (t(9.0), 0)];
+        assert_eq!(merged_peak(&[&a, &b], t(100.0)), 2);
+        assert_eq!(merged_peak(&[], t(100.0)), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The heap merge equals the rescanning sweep on random logs:
+        /// up to five shards (so a single shard too), empty logs,
+        /// entries on a coarse 0–20 ns grid (so different shards often
+        /// change at the same instant) and a horizon on the same grid
+        /// (so entries fall at and past it).
+        #[test]
+        fn merged_peak_matches_the_rescanning_sweep(
+            shards in prop::collection::vec(
+                prop::collection::vec((0u64..4, 0u32..6), 0..8),
+                1..6,
+            ),
+            horizon in 0u64..22,
+        ) {
+            // Each shard's steps become a sorted log; a zero step
+            // repeats the previous instant (the last entry wins).
+            let logs: Vec<Vec<(SimTime, u32)>> = shards
+                .iter()
+                .map(|steps| {
+                    let mut at = 0u64;
+                    steps
+                        .iter()
+                        .map(|&(dt, n)| {
+                            at += dt;
+                            (SimTime::from_nanos(at), n)
+                        })
+                        .collect()
+                })
+                .collect();
+            let views: Vec<&[(SimTime, u32)]> = logs.iter().map(Vec::as_slice).collect();
+            let horizon = SimTime::from_nanos(horizon);
+            prop_assert_eq!(
+                merged_peak(&views, horizon),
+                merged_peak_reference(&views, horizon)
+            );
+        }
     }
 }

@@ -317,14 +317,23 @@ impl ScenarioSpec {
     }
 }
 
+/// A spec time in seconds as a simulated instant, or the typed reason
+/// it is none.
 fn secs(what: &str, value: f64) -> Result<SimTime, EngineError> {
-    if !(value.is_finite() && value >= 0.0) {
-        return Err(EngineError::InvalidTime {
-            what: what.to_string(),
-            value,
-        });
-    }
-    Ok(SimTime::from_secs_f64(value))
+    SimTime::try_from_secs_f64(value).map_err(|reason| EngineError::InvalidTime {
+        what: what.to_string(),
+        value,
+        reason,
+    })
+}
+
+/// The spec's horizon as a simulated instant.
+///
+/// # Errors
+/// [`EngineError::InvalidTime`] if `horizon_secs` is negative, NaN,
+/// infinite or past the end of simulated time.
+pub fn horizon(spec: &ScenarioSpec) -> Result<SimTime, EngineError> {
+    secs("horizon", spec.horizon_secs)
 }
 
 /// Build (and validate) the simulation a spec describes, without
@@ -439,7 +448,7 @@ pub fn build_scenario(spec: &ScenarioSpec) -> Result<Simulation, EngineError> {
 /// Build, run to the horizon, and report.
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<RunReport, EngineError> {
     let mut sim = build_scenario(spec)?;
-    Ok(sim.run_until(secs("horizon", spec.horizon_secs)?))
+    Ok(sim.run_until(horizon(spec)?))
 }
 
 /// Like [`run_scenario`], but forcing the network rate solver — used by
@@ -454,7 +463,7 @@ pub fn run_scenario_with_solver(
 ) -> Result<RunReport, EngineError> {
     let mut sim = build_scenario(spec)?;
     sim.engine_mut().set_solver_mode(solver);
-    Ok(sim.run_until(secs("horizon", spec.horizon_secs)?))
+    Ok(sim.run_until(horizon(spec)?))
 }
 
 /// Like [`run_scenario`], with observer callbacks on every job status
@@ -464,7 +473,7 @@ pub fn run_scenario_observed(
     obs: &mut dyn Observer,
 ) -> Result<RunReport, EngineError> {
     let mut sim = build_scenario(spec)?;
-    Ok(sim.run_observed(secs("horizon", spec.horizon_secs)?, obs))
+    Ok(sim.run_observed(horizon(spec)?, obs))
 }
 
 /// Observed run under an explicit solver — what the scenario fuzzer
@@ -480,7 +489,7 @@ pub fn run_scenario_observed_with_solver(
 ) -> Result<RunReport, EngineError> {
     let mut sim = build_scenario(spec)?;
     sim.engine_mut().set_solver_mode(solver);
-    let report = sim.run_observed(secs("horizon", spec.horizon_secs)?, obs);
+    let report = sim.run_observed(horizon(spec)?, obs);
     Ok(report)
 }
 

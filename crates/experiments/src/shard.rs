@@ -41,14 +41,13 @@
 //! reports are byte-identical — which is what `lsm`'s determinism suite
 //! pins at `--threads 1/2/8` under both solver modes.
 
-use crate::scenario::{build_scenario, run_scenario_with_solver, ScenarioSpec};
+use crate::scenario::{build_scenario, horizon, run_scenario_with_solver, ScenarioSpec};
 use lsm_core::config::ClusterConfig;
 use lsm_core::error::EngineError;
 use lsm_core::parallel::{run_sharded, run_sharded_observed, FleetShape, ParallelOpts, Shard};
 use lsm_core::policy::StrategyKind;
 use lsm_core::{Observer, RunReport};
 use lsm_netsim::SolverMode;
-use lsm_simcore::time::SimTime;
 
 /// One component of a partitioned scenario: a self-contained spec over
 /// the component's nodes plus the maps back to global identity.
@@ -437,16 +436,6 @@ fn shape_of(spec: &ScenarioSpec) -> FleetShape {
     }
 }
 
-fn horizon_of(spec: &ScenarioSpec) -> Result<SimTime, EngineError> {
-    if !(spec.horizon_secs.is_finite() && spec.horizon_secs >= 0.0) {
-        return Err(EngineError::InvalidTime {
-            what: "horizon".to_string(),
-            value: spec.horizon_secs,
-        });
-    }
-    Ok(SimTime::from_secs_f64(spec.horizon_secs))
-}
-
 /// Run a scenario on `threads` worker threads under an explicit solver.
 /// `threads ≤ 1` — or any scenario the partitioner rejects — runs the
 /// monolithic engine. The two paths produce the same report except that
@@ -466,7 +455,7 @@ pub fn run_scenario_threaded_with_solver(
     };
     let shards = build_shards(subs, solver)?;
     let shape = shape_of(spec);
-    let horizon = horizon_of(spec)?;
+    let horizon = horizon(spec)?;
     Ok(run_sharded(
         shards,
         shape,
@@ -518,7 +507,7 @@ where
     let shards = build_shards(subs, solver)?;
     let observers: Vec<O> = shards.iter().map(|_| make_obs()).collect();
     let shape = shape_of(spec);
-    let horizon = horizon_of(spec)?;
+    let horizon = horizon(spec)?;
     let (report, shards) = run_sharded_observed(
         shards,
         observers,

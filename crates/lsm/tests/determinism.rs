@@ -173,6 +173,20 @@ fn tracked_scenarios_are_thread_count_invariant() {
     for (file, spec) in faults::all() {
         assert_thread_count_invariant(file, &spec);
     }
+    // Horizon edge cases: at a zero horizon only the t = 0 events run
+    // (both engines must run them), and a horizon of 1e9 s lets every
+    // migration finish long before it.
+    let demo = include_str!("../../../scenarios/demo.toml");
+    for horizon in ["1e-300", "1e9"] {
+        let text = demo.replacen(
+            "horizon_secs = 300.0",
+            &format!("horizon_secs = {horizon}"),
+            1,
+        );
+        assert_ne!(text, demo, "demo.toml sets horizon_secs = 300.0");
+        let spec = ScenarioSpec::from_toml(&text).expect("parses");
+        assert_thread_count_invariant(&format!("demo.toml @ horizon {horizon}"), &spec);
+    }
 }
 
 /// The full 1024-node fleet (2048 VMs, 512 shards): byte-identical at

@@ -356,7 +356,7 @@ impl FlowNet {
 
     /// Start recording `(time, live-flow count)` changepoints, one entry
     /// per instant at which the flow set changed. The sharded engine
-    /// turns this on for every shard and sweep-merges the logs to
+    /// turns this on for every shard and merges the logs to
     /// recover the global concurrent-flow peak exactly as the monolithic
     /// engine would have sampled it.
     pub fn enable_load_log(&mut self) {
@@ -369,14 +369,6 @@ impl FlowNet {
     /// [`Self::enable_load_log`] was called before any flow started).
     pub fn load_log(&self) -> &[(SimTime, u32)] {
         self.load_log.as_deref().unwrap_or(&[])
-    }
-
-    /// Sum of all live flows' allocated rates (bytes/second) — the load
-    /// the switch aggregate is carrying right now. The sharded runner's
-    /// window barrier sums this across shards to check the shared switch
-    /// budget.
-    pub fn rate_total(&self) -> f64 {
-        self.flows.iter().map(|f| f.rate).sum()
     }
 
     /// Record the current flow count against the current instant

@@ -47,4 +47,4 @@ pub use fault::FaultKind;
 pub use idmap::IdMap;
 pub use resource::{ReqId, SharedResource};
 pub use rng::DetRng;
-pub use time::{SimDuration, SimTime};
+pub use time::{SimDuration, SimTime, TimeError};

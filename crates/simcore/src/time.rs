@@ -41,6 +41,26 @@ impl SimTime {
         SimTime((s * 1e9).round() as u64)
     }
 
+    /// Construct from fractional seconds given by a user (a scenario's
+    /// horizon or event time), rounding to the nearest nanosecond like
+    /// [`SimTime::from_secs_f64`], but rejecting what that would clamp:
+    /// NaN and infinities, negative values, and values at or past 2⁶⁴
+    /// nanoseconds (about 584 years).
+    pub fn try_from_secs_f64(s: f64) -> Result<Self, TimeError> {
+        if !s.is_finite() {
+            return Err(TimeError::NonFinite);
+        }
+        if s < 0.0 {
+            return Err(TimeError::Negative);
+        }
+        let ns = (s * 1e9).round();
+        // `u64::MAX as f64` is 2⁶⁴ exactly; every float below it fits.
+        if ns >= u64::MAX as f64 {
+            return Err(TimeError::TooLarge);
+        }
+        Ok(SimTime(ns as u64))
+    }
+
     /// Raw nanoseconds since simulation start.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -66,6 +86,35 @@ impl SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
 }
+
+/// Why a number of seconds is not a [`SimTime`]
+/// ([`SimTime::try_from_secs_f64`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TimeError {
+    /// NaN or an infinity.
+    NonFinite,
+    /// Below zero.
+    Negative,
+    /// At or past 2⁶⁴ nanoseconds, the end of simulated time.
+    TooLarge,
+}
+
+impl fmt::Display for TimeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TimeError::NonFinite => write!(f, "not a finite number"),
+            TimeError::Negative => write!(f, "negative"),
+            TimeError::TooLarge => {
+                write!(
+                    f,
+                    "at or past 2^64 ns (about 584 years), the end of simulated time"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for TimeError {}
 
 impl SimDuration {
     /// The empty duration.
@@ -230,6 +279,46 @@ mod tests {
             SimTime::FAR_FUTURE.saturating_add(SimDuration::from_secs(1)),
             SimTime::FAR_FUTURE
         );
+    }
+
+    #[test]
+    fn try_from_secs_f64_accepts_the_representable_range() {
+        assert_eq!(SimTime::try_from_secs_f64(0.0), Ok(SimTime::ZERO));
+        assert_eq!(SimTime::try_from_secs_f64(-0.0), Ok(SimTime::ZERO));
+        assert_eq!(SimTime::try_from_secs_f64(1e-300), Ok(SimTime::ZERO));
+        assert_eq!(
+            SimTime::try_from_secs_f64(1.25),
+            Ok(SimTime::from_secs_f64(1.25))
+        );
+        assert_eq!(
+            SimTime::try_from_secs_f64(1e9),
+            Ok(SimTime::from_secs(1_000_000_000))
+        );
+        // The largest float below 2⁶⁴ ns still fits.
+        let last = (u64::MAX as f64).next_down() / 1e9;
+        assert!(SimTime::try_from_secs_f64(last).is_ok());
+    }
+
+    #[test]
+    fn try_from_secs_f64_rejects_non_finite_input() {
+        for s in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(SimTime::try_from_secs_f64(s), Err(TimeError::NonFinite));
+        }
+    }
+
+    #[test]
+    fn try_from_secs_f64_rejects_negative_input() {
+        for s in [-1e-9, -1.0, f64::MIN] {
+            assert_eq!(SimTime::try_from_secs_f64(s), Err(TimeError::Negative));
+        }
+    }
+
+    #[test]
+    fn try_from_secs_f64_rejects_input_past_u64_nanoseconds() {
+        // 1e12 s used to clamp silently to 18446744073.7 s.
+        for s in [1e12, 18_446_744_074.0, f64::MAX] {
+            assert_eq!(SimTime::try_from_secs_f64(s), Err(TimeError::TooLarge));
+        }
     }
 
     #[test]
